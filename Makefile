@@ -18,9 +18,8 @@ test-backends:          ## backend suite on all lanes: as-installed, then with n
 	pytest tests/backends -q
 	REPRO_NO_NUMBA=1 REPRO_NO_CC=1 pytest tests/backends -q
 
-test-exchange:          ## exchange + process suites on both transports: shm rings, then Queue fallback
+test-exchange:          ## exchange + process suites on the default shm rings (make test-tcp runs the tcp lane)
 	REPRO_EXCHANGE=shm pytest -m "exchange_shm or process" tests/ -q
-	REPRO_EXCHANGE=queue pytest -m "exchange_shm or process" tests/ -q
 
 test-tcp:               ## tcp transport lane: codec, fault injection, determinism (auto-skips where loopback binds are forbidden)
 	pytest -m tcp tests/ -q
@@ -83,5 +82,5 @@ examples:
 	for f in examples/*.py; do echo "== $$f"; python $$f || exit 1; done
 
 clean:
-	rm -rf build dist *.egg-info benchmarks/results .pytest_cache
+	rm -rf build dist *.egg-info .pytest_cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

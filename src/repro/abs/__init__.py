@@ -15,9 +15,9 @@ Two execution modes are provided by :class:`~repro.abs.solver.AdaptiveBulkSearch
 - ``"process"`` — one OS process per simulated GPU (the multi-GPU
   configuration of Figure 5), weights shared via shared memory,
   targets/solutions exchanged through the :mod:`repro.abs.exchange`
-  transport (bit-packed shared-memory rings by default; a
-  ``multiprocessing.Queue`` fallback via ``exchange="queue"``).  Used
-  by the Figure 8 scaling benchmark.
+  transport (bit-packed shared-memory rings by default; framed loopback
+  sockets via ``exchange="tcp"``).  Used by the Figure 8 scaling
+  benchmark.
 """
 
 from repro.abs.adaptive import VariantController, WindowAdapter
@@ -28,7 +28,6 @@ from repro.abs.decompose import (
     DecompositionResult,
     DecompositionSolver,
 )
-from repro.abs.buffers import SolutionBuffer, TargetBuffer
 from repro.abs.device import DeviceSimulator
 from repro.abs.exchange import (
     EXCHANGE_NAMES,
@@ -67,8 +66,6 @@ __all__ = [
     "load_pool",
     "AbsConfig",
     "resolve_windows",
-    "TargetBuffer",
-    "SolutionBuffer",
     "EXCHANGE_NAMES",
     "resolve_exchange",
     "TargetMailbox",

@@ -117,8 +117,7 @@ class AbsConfig:
         Process mode only: the host↔worker transport.  ``"shm"`` (the
         default) exchanges targets and solutions through preallocated
         bit-packed shared-memory rings — the paper's Figure-5 buffers
-        (:mod:`repro.abs.exchange`); ``"queue"`` is the pickling
-        ``multiprocessing.Queue`` fallback; ``"tcp"`` frames the same
+        (:mod:`repro.abs.exchange`); ``"tcp"`` frames the same
         bit-packed payloads over loopback sockets (:mod:`repro.abs.tcp`)
         so workers can join and leave elastically.  ``None`` consults
         the ``REPRO_EXCHANGE`` environment variable, then defaults to

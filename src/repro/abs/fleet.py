@@ -1,30 +1,26 @@
-"""Warm worker fleets: reusable process-mode plumbing for many solves.
+"""Worker fleets: the one process-mode plumbing for every solve.
 
 Process mode pays a substantial fixed cost before the first round runs:
 spawning one OS process per simulated GPU, allocating the exchange
-transport (shared-memory mailboxes/rings, queues, or a TCP listener),
-copying the weight matrix into shared memory, and letting each worker's
-kernel backend prepare the weights.  For a single ``solve()`` that cost
-is unavoidable; for a *service* running many jobs it is pure waste —
-the paper's host/device split has no per-problem worker state beyond
-the weights and the GA targets, so the same fleet can be re-armed with
-a new problem instead of being torn down and respawned.
+transport (shared-memory mailboxes/rings or a TCP listener), copying
+the weight matrix into shared memory, and letting each worker's kernel
+backend prepare the weights.  The paper's host/device split has no
+per-problem worker state beyond the weights and the GA targets, so the
+same fleet can be re-armed with a new problem instead of being torn
+down and respawned.
 
-This module factors the fleet lifecycle out of
-:class:`~repro.abs.solver.AdaptiveBulkSearch` so both callers share one
-implementation:
+Every process-mode solve runs on a :class:`WorkerFleet`:
 
-- **one-shot** (``persistent=False``): exactly the classic
-  ``solve("process")`` shape — the solver passes its own spawn
-  callable, runs one job, and shuts the fleet down.  Wire behavior is
-  bit-identical to the pre-fleet solver: job sequence number 0 makes
-  every epoch token equal the plain incarnation number.
-- **persistent** (``persistent=True``): workers run
-  :func:`_fleet_worker_main`, a control loop that accepts ``JOB``
-  frames over a per-worker control queue, re-arms the exchange endpoint
-  under the new job's epoch token, and runs the standard device rounds
-  until the next frame (or shutdown) arrives.  Spawn, transport, and
-  backend-prepared weights all survive across jobs.
+- a one-shot ``solve("process")`` starts a short-lived fleet, runs one
+  job on it, and shuts it down;
+- the service (:mod:`repro.service`) keeps one fleet warm and runs a
+  stream of jobs on it.
+
+Workers run :func:`_fleet_worker_main`, a control loop that accepts
+``JOB`` frames over a per-worker control queue, (re-)arms the exchange
+endpoint under the job's epoch token, and runs the standard device
+rounds until the next frame (or shutdown) arrives.  Spawn, transport,
+and backend-prepared weights all survive across jobs.
 
 **Epoch tokens.**  The exchange layer already discards traffic whose
 epoch does not match (that is how worker restarts skip a predecessor's
@@ -35,18 +31,16 @@ stale targets).  The fleet widens the epoch into a token::
 so one integer simultaneously identifies *which job* and *which
 incarnation of the worker slot* produced a frame.  Cross-job traffic
 (a result published microseconds before a re-arm) is filtered by the
-host exactly like a stale incarnation's, and ``job_seq == 0`` keeps
-one-shot solves on today's wire format.
+host exactly like a stale incarnation's.  Jobs are numbered from 1.
 
-**Re-arm handshake.**  ``arm_job`` rebinds every healthy worker's
-target channel to the new token, delivers one ``WorkerJob`` frame per
-worker, and waits until every healthy worker acknowledges the new job
-sequence number.  The ack gate exists for the queue transport, where an
-un-re-armed worker would *consume and discard* targets stamped with the
-new epoch; shm mailboxes and TCP replay are idempotent but take the
-same path for uniformity.  Workers that die mid-handshake are restarted
-by the supervisor and re-armed at spawn with the *current* frame — a
-replacement can never resurrect the previous job.
+**Arm handshake.**  ``arm_job`` rebinds every healthy worker's target
+channel to the new token, delivers one ``WorkerJob`` frame per worker,
+and waits until every healthy worker acknowledges the new job sequence
+number.  The ack gate orders the start of a job: initial targets are
+published only after every worker has re-armed and built its device.
+Workers that die mid-handshake are restarted by the supervisor and
+armed at spawn with the *current* frame — a replacement can never
+resurrect the previous job.
 """
 
 from __future__ import annotations
@@ -57,7 +51,8 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from multiprocessing import resource_tracker
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -77,15 +72,13 @@ from repro.telemetry.bus import NULL_BUS, NullBus, RelayBus, TelemetryBus
 
 #: Epoch tokens pack ``(job_seq, incarnation)`` into one integer:
 #: ``job_seq * JOB_STRIDE + incarnation``.  The stride bounds restarts
-#: per job at ~1M — far beyond any restart budget — and keeps job 0
-#: tokens numerically equal to bare incarnations (one-shot solves
-#: produce exactly the pre-fleet wire traffic).
+#: per job at ~1M — far beyond any restart budget.
 JOB_STRIDE = 1 << 20
 
 #: Interval for worker control-queue polls and host ack polls.
 _POLL_INTERVAL = 0.25
 
-#: Sentinel control frame asking a persistent worker to exit cleanly.
+#: Sentinel control frame asking a worker to exit cleanly.
 _SHUTDOWN = "shutdown"
 
 
@@ -160,26 +153,37 @@ def _resolve_start_method(requested: str | None) -> str:
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
+class DeviceSpec(NamedTuple):
+    """One device's search knobs, as :class:`DeviceSimulator` takes them.
+
+    Built once per job by the solver (homogeneous ladder or Diverse-ABS
+    variant) and used verbatim by the sync loop and by fleet workers.
+    """
+
+    windows: np.ndarray
+    local_steps: int
+    scan_neighbors: bool
+    tabu_steps: int
+    tabu_tenure: int | None
+
+
 @dataclass(frozen=True)
 class WorkerJob:
-    """One job assignment, shipped to a persistent worker as a frame.
+    """One job assignment, shipped to a fleet worker as a frame.
 
-    Carries everything :func:`repro.abs.solver._worker_main` takes as
-    spawn arguments, minus what the worker already owns (its id, its
-    endpoint, the stop event).  ``job_seq`` rather than a full token:
-    the worker combines it with its *own* incarnation number, so a
-    frame delivered to a freshly restarted worker re-arms under the
-    replacement's epoch, not its dead predecessor's.
+    Carries everything a worker needs for one job, minus what it
+    already owns (its id, its endpoint, the stop event).  ``job_seq``
+    rather than a full token: the worker combines it with its *own*
+    incarnation number, so a frame delivered to a freshly restarted
+    worker arms it under the replacement's epoch, not its dead
+    predecessor's.
     """
 
     job_seq: int
     weights_ref: tuple
     digest: str | None
     n_blocks: int
-    windows: np.ndarray
-    local_steps: int
-    scan_neighbors: bool
-    tabu_params: tuple
+    device: DeviceSpec
     backend: str | None
     adapt_params: tuple
     telemetry_enabled: bool
@@ -235,13 +239,11 @@ def run_device_rounds(
 ) -> None:
     """The §3.2 device loop: fetch targets, run rounds, ship results.
 
-    Shared verbatim between the one-shot worker entry point
-    (:func:`repro.abs.solver._worker_main`) and the persistent
-    :func:`_fleet_worker_main` — the *loop* is job-agnostic; only what
-    wraps it (process-per-job vs frame-per-job) differs.  Returns when
-    targets dry up in lockstep mode, a publish is refused (stop or ring
-    full at stop), or ``stop_evt`` trips (which, for persistent
-    workers, includes a pending control frame via :class:`_StopProxy`).
+    Runs one job inside :func:`_fleet_worker_main` — the *loop* is
+    job-agnostic.  Returns when targets dry up in lockstep mode, a
+    publish is refused (stop or ring full at stop), or ``stop_evt``
+    trips (which includes a pending control frame via
+    :class:`_StopProxy`).
     """
     targets = endpoint.fetch_targets(wait=True)
     while targets is not None and not stop_evt.is_set():
@@ -297,27 +299,24 @@ def _fleet_worker_main(
     ack_q: Any,
     prepared_cache_size: int,
 ) -> None:
-    """Persistent device-process entry point (module-level, picklable).
+    """Device-process entry point (module-level, picklable).
 
-    Sits in a control loop: each ``WorkerJob`` frame re-arms the
-    exchange endpoint under the job's epoch token, builds a *fresh*
+    Sits in a control loop: each ``WorkerJob`` frame arms the exchange
+    endpoint under the job's epoch token, builds a *fresh*
     :class:`DeviceSimulator` (engines start from the canonical zero
-    state — a service job must match a one-shot solve bit-for-bit), and
-    runs :func:`run_device_rounds` until the next frame arrives.  What
-    persists across jobs is exactly the expensive, state-free plumbing:
-    the process itself, the exchange endpoint, attached shared-memory
-    weight segments (keyed by segment descriptor — the host may evict
-    and recreate a segment for the same problem), and backend
-    ``PreparedWeights`` (keyed by ``(backend, digest)``; read-only
-    kernel input, so reuse cannot couple searches).
+    state, so a job on a warm fleet matches a one-shot solve
+    bit-for-bit), acks, and runs :func:`run_device_rounds` until the
+    next frame arrives.  The endpoint opens on the first frame, so a
+    tcp worker's HELLO already carries the token of the job it serves.
+    What persists across jobs is exactly the expensive, state-free
+    plumbing: the process itself, the exchange endpoint, attached
+    shared-memory weight segments (keyed by segment descriptor — the
+    host may evict and recreate a segment for the same problem), and
+    backend ``PreparedWeights`` (keyed by ``(backend, digest)``;
+    read-only kernel input, so reuse cannot couple searches).
     """
     proxy = _StopProxy(stop_evt, control)
-    endpoint = open_worker_endpoint(
-        exchange_ref,
-        worker_id=worker_id,
-        incarnation=incarnation,
-        stop_evt=proxy,
-    )
+    endpoint: Any = None
     shm_cache: OrderedDict[tuple, SharedWeights] = OrderedDict()
     prepared_cache: OrderedDict[tuple, object] = OrderedDict()
     try:
@@ -346,11 +345,19 @@ def _fleet_worker_main(
                 weights: Any = shared.array
             else:
                 weights = payload
-            endpoint.rearm(encode_token(job.job_seq, incarnation))
+            token = encode_token(job.job_seq, incarnation)
+            if endpoint is None:
+                endpoint = open_worker_endpoint(
+                    exchange_ref,
+                    worker_id=worker_id,
+                    incarnation=token,
+                    stop_evt=proxy,
+                )
+            else:
+                endpoint.rearm(token)
             relay = RelayBus() if job.telemetry_enabled else NULL_BUS
             n = weights.n if hasattr(weights, "n") else weights.shape[0]
             adapter = _make_adapter(n, job.n_blocks, job.adapt_params, relay)
-            tabu_steps, tabu_tenure = job.tabu_params
             ckey = (job.backend, job.digest)
             prepared = (
                 prepared_cache.get(ckey) if job.digest is not None else None
@@ -360,15 +367,11 @@ def _fleet_worker_main(
             device = DeviceSimulator(
                 weights,
                 job.n_blocks,
-                windows=job.windows,
-                local_steps=job.local_steps,
-                scan_neighbors=job.scan_neighbors,
+                **job.device._asdict(),
                 adapter=adapter,
                 backend=job.backend,
                 bus=relay,
                 device_id=worker_id,
-                tabu_steps=tabu_steps,
-                tabu_tenure=tabu_tenure,
                 prepared=prepared,
             )
             if job.digest is not None and prepared is None:
@@ -390,7 +393,8 @@ def _fleet_worker_main(
     except (KeyboardInterrupt, BrokenPipeError):  # parent went away
         pass
     finally:
-        endpoint.close()
+        if endpoint is not None:
+            endpoint.close()
         for shared in shm_cache.values():
             shared.close()
 
@@ -414,15 +418,10 @@ class WorkerFleet:
         Telemetry bus for supervisor events.  The service swaps in a
         per-job stamped view via :meth:`WorkerSupervisor` sharing.
     max_restarts, stall_timeout:
-        Supervision policy.  For a persistent fleet the restart budget
-        spans the fleet's *lifetime*, not one job (documented in
-        ``docs/service.md``).
+        Supervision policy.  The restart budget spans the fleet's
+        *lifetime*, not one job (documented in ``docs/service.md``).
     start_method:
         Multiprocessing start method (``None``: platform preference).
-    persistent:
-        ``False``: the caller supplies its own spawn callable to
-        :meth:`start` (classic one-shot solve).  ``True``: workers run
-        :func:`_fleet_worker_main` and accept jobs via :meth:`arm_job`.
     prepared_cache_size:
         Per-worker cap on cached backend-prepared weights.
     weights_cache_size:
@@ -440,7 +439,6 @@ class WorkerFleet:
         max_restarts: int = 2,
         stall_timeout: float | None = None,
         start_method: str | None = None,
-        persistent: bool = False,
         prepared_cache_size: int = 4,
         weights_cache_size: int = 8,
         arm_timeout: float = 30.0,
@@ -464,13 +462,12 @@ class WorkerFleet:
         self.supervisor: WorkerSupervisor | None = None
         self._max_restarts = int(max_restarts)
         self._stall_timeout = stall_timeout
-        self._persistent = bool(persistent)
         self._prepared_cache_size = int(prepared_cache_size)
         self._weights_cache_size = int(weights_cache_size)
         self._arm_timeout = float(arm_timeout)
         # One lock covers the state shared between the arming thread,
         # the supervise thread (whose restart callbacks land in
-        # _spawn_persistent/_make_channel), and whichever thread calls
+        # _spawn/_make_channel), and whichever thread calls
         # shutdown().  The weights cache and jobs_armed counter stay
         # unannotated: only the arming thread touches them.
         self._lock = threading.Lock()
@@ -478,7 +475,7 @@ class WorkerFleet:
         self._current_jobs: list[WorkerJob] | None = None  # guarded-by: _lock
         self._controls: dict[int, Any] = {}  # guarded-by: _lock
         self._all_controls: list[Any] = []  # guarded-by: _lock
-        self._ack_q = self.ctx.Queue() if self._persistent else None
+        self._ack_q = self.ctx.Queue()
         #: problem digest -> host-side SharedWeights (LRU, owner).
         self._weights_cache: OrderedDict[str, SharedWeights] = OrderedDict()
         self._closed = False  # guarded-by: _lock
@@ -502,49 +499,41 @@ class WorkerFleet:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def start(self, spawn: Callable[[int, int, Any], Any] | None = None) -> None:
-        """Spawn incarnation 0 of every worker.
-
-        One-shot fleets pass their own ``spawn(worker_id, incarnation,
-        channel)``; persistent fleets spawn :func:`_fleet_worker_main`
-        and must not pass one.
-        """
+    def start(self) -> None:
+        """Spawn incarnation 0 of every worker (idle until :meth:`arm_job`)."""
         if self.supervisor is not None:
             raise RuntimeError("fleet already started")
-        if self._persistent:
-            if spawn is not None:
-                raise ValueError("persistent fleets spawn their own workers")
-            spawn = self._spawn_persistent
-        elif spawn is None:
-            raise ValueError("one-shot fleets need a spawn callable")
+        # Forked workers share the parent's shared-memory resource
+        # tracker only if it is already running.  Otherwise (a tcp
+        # fleet has no segment yet) each worker starts its own tracker
+        # on its first weights attach, and that tracker unlinks the
+        # host-owned segment when the worker dies.
+        resource_tracker.ensure_running()
         self.supervisor = WorkerSupervisor(
             self.n_workers,
-            spawn,
+            self._spawn,
             channel_factory=self._make_channel,
             max_restarts=self._max_restarts,
             stall_timeout=self._stall_timeout,
             bus=self.bus,
         )
         self.supervisor.start()
-        if self._persistent and self.bus.enabled:
+        if self.bus.enabled:
             self.bus.counters.inc("service.fleet_spawns")
 
     def _make_channel(self, worker_id: int, incarnation: int) -> Any:
-        # Job 0 tokens equal bare incarnations: one-shot wire traffic is
-        # bit-identical to the pre-fleet solver.  A restart mid-arm may
-        # run this on the supervise thread, so the job_seq read locks.
+        # A restart mid-arm may run this on the supervise thread, so
+        # the job_seq read locks.
         with self._lock:
             token = encode_token(self._job_seq, incarnation)
         return self.transport.make_target_channel(worker_id, token)
 
-    def _spawn_persistent(
-        self, worker_id: int, incarnation: int, channel: Any
-    ) -> Any:
+    def _spawn(self, worker_id: int, incarnation: int, channel: Any) -> Any:
         control = self.ctx.Queue()
         with self._lock:
             self._controls[worker_id] = control
             self._all_controls.append(control)
-            # A replacement spawned mid-job (or mid-handshake) re-arms
+            # A replacement spawned mid-job (or mid-handshake) arms
             # with the *current* frame — never its predecessor's job.
             frame = (
                 self._current_jobs[worker_id]
@@ -571,7 +560,7 @@ class WorkerFleet:
         return p
 
     # ------------------------------------------------------------------
-    # Job management (persistent fleets)
+    # Job management
     # ------------------------------------------------------------------
     def next_job_seq(self) -> int:
         """Reserve the next job sequence number (starts at 1)."""
@@ -586,7 +575,7 @@ class WorkerFleet:
         Dense matrices go through host-owned shared-memory segments
         cached by problem digest — repeat submissions of the same
         problem skip the copy entirely.  Sparse problems are small and
-        ship by pickling, exactly like the one-shot solver.
+        ship by pickling inside the job frame.
         """
         from repro.qubo.sparse import SparseQubo
 
@@ -612,15 +601,13 @@ class WorkerFleet:
 
         ``jobs`` is indexed by worker id and must share one
         ``job_seq`` (from :meth:`next_job_seq`).  On return every
-        healthy worker has re-armed its endpoint under the new epoch
-        token, so the caller may publish initial targets on any
-        transport without racing an un-re-armed consumer.  Workers that
+        healthy worker has armed its endpoint under the new epoch token
+        and built its device, so initial targets published now are the
+        first thing every worker reads for this job.  Workers that
         die during the handshake are restarted and re-armed at spawn;
         the call fails only when no healthy worker remains or the
         timeout expires.
         """
-        if not self._persistent:
-            raise RuntimeError("arm_job needs a persistent fleet")
         if self.supervisor is None:
             raise RuntimeError("fleet not started")
         if len(jobs) != self.n_workers:
@@ -743,21 +730,15 @@ class WorkerFleet:
             self.relay_events(self.bus, last_seq)
         except Exception:  # pragma: no cover - teardown best-effort
             pass
-        # Drain channels so queue feeder threads can exit, then tear
-        # down the transport (unlinks the shm rings/mailboxes).
-        channels = self.supervisor.all_channels if self.supervisor else []
+        # Drain the control and ack queues so their feeder threads can
+        # exit, then tear down the transport (unlinks the shm
+        # rings/mailboxes).
         with self._lock:
-            all_controls = list(self._all_controls)
-        for ch in list(channels) + all_controls:
+            queues = [*self._all_controls, self._ack_q]
+        for q in queues:
             try:
                 while True:
-                    ch.get_nowait()
-            except (queue_mod.Empty, OSError, EOFError, AttributeError):
-                pass
-        if self._ack_q is not None:
-            try:
-                while True:
-                    self._ack_q.get_nowait()
+                    q.get_nowait()
             except (queue_mod.Empty, OSError, EOFError):
                 pass
         self.transport.drain()
@@ -774,7 +755,7 @@ class WorkerFleet:
 
 
 # ----------------------------------------------------------------------
-# The host search loop (shared by one-shot solves and service jobs)
+# The host search loop
 # ----------------------------------------------------------------------
 @dataclass
 class SearchOutcome:
@@ -798,14 +779,13 @@ def run_search_rounds(
     *,
     bus: TelemetryBus | NullBus,
     met_target: Callable[[float], bool],
-    job_seq: int = 0,
+    job_seq: int,
     cancelled: Callable[[], bool] | None = None,
 ) -> SearchOutcome:
     """Drive one job's host loop over an armed fleet (Figure 5 host).
 
-    The fleet's workers must already be running the job identified by
-    ``job_seq`` (one-shot: spawned with it; persistent: armed via
-    :meth:`WorkerFleet.arm_job`).  Publishes initial targets, then
+    The fleet's workers must already be armed with the job identified
+    by ``job_seq`` (:meth:`WorkerFleet.arm_job`).  Publishes initial targets, then
     polls results / supervises / answers with fresh GA targets until a
     stop criterion fires.  Frames from *other* jobs — a previous job's
     results still in flight after a re-arm — only feed the liveness
@@ -1012,10 +992,11 @@ def assemble_process_result(
     """Build the :class:`SolveResult` for one process-mode run.
 
     ``restarts``/``lost``/``transport_stats`` are *per-job* numbers —
-    the service diffs the fleet's lifetime totals against the values at
-    job start so a long-lived fleet's history does not leak into every
-    result.  ``setup_ns``/``search_ns`` land on the result (and the
-    session counters when telemetry is on) but deliberately **not** in
+    :meth:`~repro.abs.solver.AdaptiveBulkSearch.solve_on_fleet` diffs
+    the fleet's lifetime totals against the values at job start so a
+    long-lived fleet's history does not leak into every result.
+    ``setup_ns``/``search_ns`` land on the result (and the bus
+    counters when telemetry is on) but deliberately **not** in
     ``result.counters``: that snapshot is pinned bit-identical across
     runs, transports, and telemetry on/off, and wall-clock never is.
     """

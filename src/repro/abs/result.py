@@ -63,10 +63,13 @@ class SolveResult:
         ``diversity_min_dist`` niching than without.
     setup_ns:
         Nanoseconds spent preparing the run before the first search
-        round: weight prep / shared-memory publication, worker spawn,
-        exchange setup.  This is the cold-start cost the warm-fleet
-        service amortizes (see ``docs/service.md``); also surfaced as
-        the ``solver.setup_ns`` counter.
+        round: host and device construction (including a backend's
+        kernel compile and weight prepare) and, in process mode,
+        shared-memory publication, worker spawn, exchange setup, and
+        the arm handshake that waits for every worker's device.  This
+        is the cold-start cost the warm-fleet service amortizes (see
+        ``docs/service.md``); also surfaced as the ``solver.setup_ns``
+        counter.
     search_ns:
         Nanoseconds spent in the search loop proper (the same span
         ``elapsed`` measures, in integer nanoseconds; also the

@@ -7,67 +7,62 @@ process per simulated GPU, mirroring the paper's multi-GPU deployment:
 the weight matrix lives in shared memory (one copy, like GPU global
 memory), targets flow host → device and solutions device → host through
 the exchange transport (:mod:`repro.abs.exchange` — bit-packed
-shared-memory rings by default, ``multiprocessing.Queue`` as the
-fallback), and nobody blocks on anybody — a device that sees no fresh
-targets keeps searching from its current state, exactly the paper's
-asynchronous tolerance.  ``AbsConfig.lockstep`` trades that freedom for
-determinism (workers wait for fresh targets after every round), and
-``AbsConfig.pipeline`` double-buffers targets so host GA for round
-``i + 1`` overlaps worker execution of round ``i``.
+shared-memory rings by default, framed loopback sockets with
+``exchange="tcp"``), and nobody blocks on anybody — a device that sees
+no fresh targets keeps searching from its current state, exactly the
+paper's asynchronous tolerance.  ``AbsConfig.lockstep`` trades that
+freedom for determinism (workers wait for fresh targets after every
+round), and ``AbsConfig.pipeline`` double-buffers targets so host GA
+for round ``i + 1`` overlaps worker execution of round ``i``.
 
-Process mode is additionally *supervised*
-(:class:`~repro.abs.supervisor.WorkerSupervisor`): a worker whose
-process dies — or, with ``worker_stall_timeout`` set, one that stops
-shipping results — is restarted up to ``max_worker_restarts`` times.
-A replacement starts from the engine's zero state and is rehydrated
-with fresh GA targets from the current pool (the straight-search
-handoff of Algorithm 5 makes workers state-free, so nothing else needs
-recovering); the shared-memory rings *survive* the restart — the
-replacement binds to the same segments under a bumped epoch, so stale
-targets are skipped without reallocating anything.  When a worker's
-restart budget is exhausted the solve degrades onto the survivors
-(``SolveResult.workers_restarted`` / ``workers_lost`` report what
-happened) and fails loudly only when no healthy worker remains.  The
-multiprocessing start method is configurable via
-``AbsConfig.start_method`` (``fork`` where available by default; worker
-arguments stay picklable so ``spawn`` works too).
+Every process-mode solve runs on a :class:`~repro.abs.fleet.WorkerFleet`:
+a one-shot ``solve("process")`` starts a short-lived fleet, runs one
+job on it through :meth:`AdaptiveBulkSearch.solve_on_fleet`, and shuts
+it down; the service keeps a fleet warm across jobs.  The fleet is
+*supervised* (:class:`~repro.abs.supervisor.WorkerSupervisor`): a
+worker whose process dies — or, with ``worker_stall_timeout`` set, one
+that stops shipping results — is restarted up to
+``max_worker_restarts`` times.  A replacement starts from the engine's
+zero state and is rehydrated with fresh GA targets from the current
+pool (the straight-search handoff of Algorithm 5 makes workers
+state-free, so nothing else needs recovering); the shared-memory rings
+*survive* the restart — the replacement binds to the same segments
+under a bumped epoch, so stale targets are skipped without reallocating
+anything.  When a worker's restart budget is exhausted the solve
+degrades onto the survivors (``SolveResult.workers_restarted`` /
+``workers_lost`` report what happened) and fails loudly only when no
+healthy worker remains.  The multiprocessing start method is
+configurable via ``AbsConfig.start_method`` (``fork`` where available
+by default; job frames stay picklable so ``spawn`` works too).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from multiprocessing import Event, Process
+from typing import Any, Callable
 
 import numpy as np
 
 from repro.abs.adaptive import VariantController, WindowAdapter
-from repro.abs.buffers import SharedWeights
 from repro.abs.config import AbsConfig, resolve_windows
 from repro.abs.variants import SearchVariant, get_variant, resolve_fleet
 from repro.abs.device import DeviceSimulator
-from repro.abs.exchange import open_worker_endpoint
 from repro.abs.fleet import (
+    DeviceSpec,
     WorkerFleet,
     WorkerJob,
     _counter_snapshot,
-    _make_adapter,
     _merge_counts,
-    _resolve_start_method,
     assemble_process_result,
-    run_device_rounds,
     run_search_rounds,
 )
 from repro.abs.host import Host
 from repro.abs.result import SolveResult
 from repro.qubo.matrix import WeightsLike, as_weight_matrix
-from repro.telemetry.bus import NULL_BUS, NullBus, RelayBus, TelemetryBus
+from repro.telemetry.bus import NULL_BUS, NullBus, TelemetryBus
 from repro.utils.rng import RngFactory
 from repro.utils.timer import Stopwatch
-
-# _counter_snapshot, _merge_counts and _resolve_start_method moved to
-# repro.abs.fleet with the warm-fleet split; the imports above keep
-# them addressable here for callers that historically found them here.
 
 
 class AdaptiveBulkSearch:
@@ -131,22 +126,56 @@ class AdaptiveBulkSearch:
             return None
         return resolve_fleet(cfg.variants, cfg.n_gpus)
 
-    def _variant_windows(self, variant: SearchVariant, g: int) -> np.ndarray:
+    def _variant_spec(self, variant: SearchVariant, g: int) -> DeviceSpec:
         cfg = self.config
         base = variant.windows(cfg.window, cfg.blocks_per_gpu, self.n)
-        return np.roll(base, g)
+        return DeviceSpec(
+            windows=np.roll(base, g),
+            local_steps=variant.effective_local_steps(cfg.local_steps),
+            scan_neighbors=variant.effective_scan(cfg.scan_neighbors),
+            tabu_steps=variant.tabu_steps,
+            tabu_tenure=variant.tabu_tenure,
+        )
 
-    def _device_windows(
+    def _device_specs(
         self, fleet: list[SearchVariant] | None = None
-    ) -> list[np.ndarray]:
-        """Per-device window arrays; devices get rotated ladders so the
+    ) -> list[DeviceSpec]:
+        """Per-device search knobs; devices get rotated ladders so the
         temperature spread differs across GPUs.  With a variant fleet,
-        each device's ladder comes from its variant's window spec."""
+        each device's knobs come from its variant."""
         cfg = self.config
         if fleet is not None:
-            return [self._variant_windows(fleet[g], g) for g in range(cfg.n_gpus)]
+            return [self._variant_spec(fleet[g], g) for g in range(cfg.n_gpus)]
         base = resolve_windows(cfg.window, cfg.blocks_per_gpu, self.n)
-        return [np.roll(base, g) for g in range(cfg.n_gpus)]
+        return [
+            DeviceSpec(
+                windows=np.roll(base, g),
+                local_steps=cfg.local_steps,
+                scan_neighbors=cfg.scan_neighbors,
+                tabu_steps=0,
+                tabu_tenure=None,
+            )
+            for g in range(cfg.n_gpus)
+        ]
+
+    def _new_host(
+        self, factory: RngFactory, fleet: list[SearchVariant] | None
+    ) -> Host:
+        """The job's host: pool, GA, and per-device GA for a variant fleet."""
+        cfg = self.config
+        return Host(
+            self.n,
+            cfg.pool_capacity,
+            cfg.ga,
+            rng_factory=factory,
+            bus=self.bus,
+            min_distance=cfg.diversity_min_dist,
+            device_ga=(
+                [v.effective_ga(cfg.ga) for v in fleet]
+                if fleet is not None
+                else None
+            ),
+        )
 
     def _make_adapter(self, factory: RngFactory, g: int) -> WindowAdapter | None:
         cfg = self.config
@@ -206,12 +235,12 @@ class AdaptiveBulkSearch:
         self, device: DeviceSimulator, host: Host, variant: SearchVariant, g: int
     ) -> None:
         """Reconfigure device ``g`` (and its GA stream) to ``variant``."""
-        cfg = self.config
-        device.engine.windows = self._variant_windows(variant, g)
-        device.local_steps = variant.effective_local_steps(cfg.local_steps)
-        device.scan_neighbors = variant.effective_scan(cfg.scan_neighbors)
-        device.set_tabu(variant.tabu_steps, variant.tabu_tenure)
-        host.set_device_ga(g, variant.effective_ga(cfg.ga))
+        spec = self._variant_spec(variant, g)
+        device.engine.windows = spec.windows
+        device.local_steps = spec.local_steps
+        device.scan_neighbors = spec.scan_neighbors
+        device.set_tabu(spec.tabu_steps, spec.tabu_tenure)
+        host.set_device_ga(g, variant.effective_ga(self.config.ga))
 
     def _sync_targets(
         self, host: Host, fleet: list[SearchVariant] | None
@@ -239,43 +268,18 @@ class AdaptiveBulkSearch:
         t_entry = time.perf_counter_ns()
         factory = RngFactory(cfg.seed)
         fleet = self._fleet()
-        host = Host(
-            self.n,
-            cfg.pool_capacity,
-            cfg.ga,
-            rng_factory=factory,
-            bus=bus,
-            min_distance=cfg.diversity_min_dist,
-            device_ga=(
-                [v.effective_ga(cfg.ga) for v in fleet]
-                if fleet is not None
-                else None
-            ),
-        )
-        windows = self._device_windows(fleet)
+        host = self._new_host(factory, fleet)
         devices = [
             DeviceSimulator(
                 self.W,
                 cfg.blocks_per_gpu,
-                windows=windows[g],
-                local_steps=(
-                    fleet[g].effective_local_steps(cfg.local_steps)
-                    if fleet is not None
-                    else cfg.local_steps
-                ),
-                scan_neighbors=(
-                    fleet[g].effective_scan(cfg.scan_neighbors)
-                    if fleet is not None
-                    else cfg.scan_neighbors
-                ),
+                **spec._asdict(),
                 adapter=self._make_adapter(factory, g),
                 backend=cfg.backend,
                 bus=bus,
                 device_id=g,
-                tabu_steps=fleet[g].tabu_steps if fleet is not None else 0,
-                tabu_tenure=fleet[g].tabu_tenure if fleet is not None else None,
             )
-            for g in range(cfg.n_gpus)
+            for g, spec in enumerate(self._device_specs(fleet))
         ]
         controller = (
             VariantController(
@@ -396,173 +400,67 @@ class AdaptiveBulkSearch:
     # ------------------------------------------------------------------
     # Process mode
     # ------------------------------------------------------------------
-    def _solve_process(self) -> SolveResult:
-        cfg = self.config
-        bus = self.bus
-        t_entry = time.perf_counter_ns()
-        if cfg.variant_adapt:
+    def _require_static_fleet(self) -> None:
+        if self.config.variant_adapt:
             raise ValueError(
                 "variant_adapt is sync-mode only: process-mode fleets are "
                 "static (workers are spawned with their variant baked in)"
             )
-        factory = RngFactory(cfg.seed)
-        fleet = self._fleet()
-        host = Host(
-            self.n,
-            cfg.pool_capacity,
-            cfg.ga,
-            rng_factory=factory,
-            bus=bus,
-            min_distance=cfg.diversity_min_dist,
-            device_ga=(
-                [v.effective_ga(cfg.ga) for v in fleet]
-                if fleet is not None
-                else None
-            ),
-        )
-        windows = self._device_windows(fleet)
 
-        from repro.qubo.sparse import SparseQubo
-
+    def _solve_process(self) -> SolveResult:
+        """One job on a short-lived fleet: start, solve, shut down."""
+        t_entry = time.perf_counter_ns()
+        self._require_static_fleet()  # before anything is spawned
+        cfg = self.config
         workers = WorkerFleet(
             self.n,
             exchange=cfg.exchange,
             n_workers=cfg.n_gpus,
             n_blocks=cfg.blocks_per_gpu,
-            bus=bus,
+            bus=self.bus,
             max_restarts=cfg.max_worker_restarts,
             stall_timeout=cfg.worker_stall_timeout,
             start_method=cfg.start_method,
         )
-        ctx = workers.ctx
-        stop_evt = workers.stop_evt
-        transport = workers.transport
-        # Dense matrices go through shared memory (they are the bulk of
-        # the footprint — the analogue of GPU global memory).  Sparse
-        # problems are small; they ship to workers by pickling.
-        if isinstance(self.W, SparseQubo):
-            shared = None
-            weights_ref = ("sparse", self.W)
-        else:
-            shared = SharedWeights.create(
-                np.ascontiguousarray(self.W, dtype=np.int64)
-            )
-            weights_ref = ("shm", shared.descriptor)
-        adapt_seeds = [
-            int(factory.stream("adapt-seed", g).integers(2**62))
-            for g in range(cfg.n_gpus)
-        ]
-
-        def _spawn(g: int, incarnation: int, channel: object) -> "Process":
-            # Resolved at call time so tests can monkeypatch the module
-            # attribute and have replacements pick the patch up too.
-            p = ctx.Process(
-                target=_worker_main,
-                args=(
-                    g,
-                    incarnation,
-                    weights_ref,
-                    cfg.blocks_per_gpu,
-                    windows[g],
-                    (
-                        fleet[g].effective_local_steps(cfg.local_steps)
-                        if fleet is not None
-                        else cfg.local_steps
-                    ),
-                    (
-                        fleet[g].effective_scan(cfg.scan_neighbors)
-                        if fleet is not None
-                        else cfg.scan_neighbors
-                    ),
-                    (
-                        (fleet[g].tabu_steps, fleet[g].tabu_tenure)
-                        if fleet is not None
-                        else (0, None)
-                    ),
-                    cfg.backend,
-                    (
-                        cfg.adapt_windows,
-                        cfg.adapt_period,
-                        cfg.adapt_fraction,
-                        adapt_seeds[g],
-                    ),
-                    transport.worker_ref(g, incarnation, channel),
-                    stop_evt,
-                    bus.enabled,
-                    cfg.lockstep,
-                ),
-                daemon=True,
-            )
-            p.start()
-            return p
-
-        setup_ns = time.perf_counter_ns() - t_entry
-        watch = Stopwatch().start()
-        if bus.enabled:
-            self._emit_start("process")
-            bus.emit("exchange.open", **transport.describe())
         try:
-            workers.start(_spawn)
-            outcome = run_search_rounds(
-                cfg, host, workers, watch, bus=bus, met_target=self._met_target
-            )
+            workers.start()
+            return self.solve_on_fleet(workers, t_entry=t_entry)
         finally:
             workers.shutdown()
-            if shared is not None:
-                shared.unlink()
-
-        elapsed = watch.stop()
-        result = assemble_process_result(
-            cfg,
-            self.n,
-            host,
-            outcome,
-            elapsed,
-            met_target=self._met_target,
-            bus=bus,
-            restarts=workers.supervisor.workers_restarted,
-            lost=workers.supervisor.workers_lost,
-            transport_stats=dict(transport.stats),
-            setup_ns=setup_ns,
-            search_ns=int(round(elapsed * 1e9)),
-        )
-        if bus.enabled:
-            self._emit_end(result)
-        return result
 
     def solve_on_fleet(
         self,
         workers: WorkerFleet,
         *,
         digest: str | None = None,
-        cancelled=None,
+        cancelled: Callable[[], bool] | None = None,
+        t_entry: int | None = None,
     ) -> SolveResult:
-        """Run one process-mode job on a persistent warm fleet.
+        """Run one process-mode job on a started :class:`WorkerFleet`.
 
-        The service path: instead of spawning processes and building a
-        transport (what :meth:`_solve_process` pays on every call), the
-        job is pushed onto an already-running :class:`WorkerFleet` via
-        its re-arm handshake.  Everything search-relevant — RNG factory,
-        host pool, GA target sequence, device windows, adapt seeds — is
-        constructed exactly as in a one-shot solve, so a seeded job run
-        here is bit-identical to ``solve("process")``.
+        The job is pushed onto the fleet's workers via its arm
+        handshake.  Everything search-relevant — RNG factory, host
+        pool, GA target sequence, device knobs, adapt seeds — is built
+        from the config alone, so a seeded job is bit-identical whether
+        its fleet is fresh (``solve("process")``) or warm (the
+        service).
 
         ``digest`` (the problem digest from
         :func:`repro.qubo.io.problem_digest`) keys the fleet's
         shared-memory weights cache and the workers' prepared-weights
         caches; ``None`` disables both reuses.  ``cancelled`` is an
-        optional zero-arg callable polled between rounds.
+        optional zero-arg callable polled between rounds.  ``t_entry``
+        is the ``perf_counter_ns`` timestamp ``setup_ns`` is billed
+        from (default: this call); ``setup_ns`` runs until every worker
+        has built its device, and the search clock starts there.
         """
         from repro.abs.exchange import resolve_exchange
 
+        if t_entry is None:
+            t_entry = time.perf_counter_ns()
         cfg = self.config
         bus = self.bus
-        t_entry = time.perf_counter_ns()
-        if cfg.variant_adapt:
-            raise ValueError(
-                "variant_adapt is sync-mode only: process-mode fleets are "
-                "static (workers are spawned with their variant baked in)"
-            )
+        self._require_static_fleet()
         wanted = (
             resolve_exchange(cfg.exchange),
             cfg.n_gpus,
@@ -576,20 +474,7 @@ class AdaptiveBulkSearch:
             )
         factory = RngFactory(cfg.seed)
         fleet = self._fleet()
-        host = Host(
-            self.n,
-            cfg.pool_capacity,
-            cfg.ga,
-            rng_factory=factory,
-            bus=bus,
-            min_distance=cfg.diversity_min_dist,
-            device_ga=(
-                [v.effective_ga(cfg.ga) for v in fleet]
-                if fleet is not None
-                else None
-            ),
-        )
-        windows = self._device_windows(fleet)
+        host = self._new_host(factory, fleet)
         adapt_seeds = [
             int(factory.stream("adapt-seed", g).integers(2**62))
             for g in range(cfg.n_gpus)
@@ -602,22 +487,7 @@ class AdaptiveBulkSearch:
                 weights_ref=weights_ref,
                 digest=digest,
                 n_blocks=cfg.blocks_per_gpu,
-                windows=windows[g],
-                local_steps=(
-                    fleet[g].effective_local_steps(cfg.local_steps)
-                    if fleet is not None
-                    else cfg.local_steps
-                ),
-                scan_neighbors=(
-                    fleet[g].effective_scan(cfg.scan_neighbors)
-                    if fleet is not None
-                    else cfg.scan_neighbors
-                ),
-                tabu_params=(
-                    (fleet[g].tabu_steps, fleet[g].tabu_tenure)
-                    if fleet is not None
-                    else (0, None)
-                ),
+                device=spec,
                 backend=cfg.backend,
                 adapt_params=(
                     cfg.adapt_windows,
@@ -628,12 +498,16 @@ class AdaptiveBulkSearch:
                 telemetry_enabled=bus.enabled,
                 lockstep=cfg.lockstep,
             )
-            for g in range(cfg.n_gpus)
+            for g, spec in enumerate(self._device_specs(fleet))
         ]
         sup = workers.supervisor
-        base_restarts = sup.workers_restarted
-        base_lost = sup.workers_lost
-        base_stats = dict(workers.transport.stats)
+        # Per-job numbers are diffs against the fleet's totals at job
+        # start.  The first job on a fleet owns everything since spawn:
+        # workers may already have said HELLO (tcp) before this line.
+        first_job = workers.jobs_armed == 0
+        base_restarts = 0 if first_job else sup.workers_restarted
+        base_lost = 0 if first_job else sup.workers_lost
+        base_stats: dict[str, Any] = {} if first_job else dict(workers.transport.stats)
         if bus.enabled:
             self._emit_start("process")
             bus.emit("exchange.open", **workers.transport.describe())
@@ -672,83 +546,3 @@ class AdaptiveBulkSearch:
         if bus.enabled:
             self._emit_end(result)
         return result
-
-
-def _worker_main(
-    worker_id: int,
-    incarnation: int,
-    weights_ref: tuple,
-    n_blocks: int,
-    windows: np.ndarray,
-    local_steps: int,
-    scan_neighbors: bool,
-    tabu_params: tuple,
-    backend: str | None,
-    adapt_params: tuple,
-    exchange_ref: tuple,
-    stop_evt: "Event",
-    telemetry_enabled: bool,
-    lockstep: bool,
-) -> None:
-    """Device-process entry point (module-level for picklability).
-
-    ``weights_ref`` is ``("shm", descriptor)`` for a dense matrix in
-    shared memory or ``("sparse", SparseQubo)`` shipped by pickle;
-    ``exchange_ref`` selects and parameterizes the worker side of the
-    exchange transport (see :func:`repro.abs.exchange.
-    open_worker_endpoint`).  Runs rounds forever: refresh targets if
-    the host published fresh ones (otherwise keep the previous ones —
-    the device never idles, unless ``lockstep`` asks it to wait), run
-    Steps 3–5, ship the per-block bests (bit-packed on the shm
-    transport) with cumulative counters and the incarnation number (so
-    the host can discard counter updates from a killed predecessor),
-    and — when telemetry is on — the worker-side events
-    (``device.round``, ``engine.*``, ``adapt.windows``) buffered on a
-    :class:`~repro.telemetry.RelayBus` for the host to re-emit with
-    this worker's id.
-    """
-    kind, payload = weights_ref
-    if kind == "shm":
-        shared = SharedWeights.attach(payload)
-        weights = shared.array
-    else:
-        shared = None
-        weights = payload
-    relay = RelayBus() if telemetry_enabled else NULL_BUS
-    adapter = _make_adapter(
-        weights.n if hasattr(weights, "n") else weights.shape[0],
-        n_blocks,
-        adapt_params,
-        relay,
-    )
-    endpoint = open_worker_endpoint(
-        exchange_ref,
-        worker_id=worker_id,
-        incarnation=incarnation,
-        stop_evt=stop_evt,
-    )
-    tabu_steps, tabu_tenure = tabu_params
-    try:
-        device = DeviceSimulator(
-            weights,
-            n_blocks,
-            windows=windows,
-            local_steps=local_steps,
-            scan_neighbors=scan_neighbors,
-            adapter=adapter,
-            backend=backend,
-            bus=relay,
-            device_id=worker_id,
-            tabu_steps=tabu_steps,
-            tabu_tenure=tabu_tenure,
-        )
-        run_device_rounds(
-            device, endpoint, adapter, relay, stop_evt, lockstep,
-            telemetry_enabled,
-        )
-    except (KeyboardInterrupt, BrokenPipeError):  # parent went away
-        pass
-    finally:
-        endpoint.close()
-        if shared is not None:
-            shared.close()

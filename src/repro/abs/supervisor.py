@@ -18,13 +18,13 @@ real OS processes:
   healthy worker remains does the caller fail the run.
 
 The state machine lives here, decoupled from transport plumbing: the
-solver passes a ``spawn`` callable (create + start one worker process)
-and a ``channel_factory(worker_id, incarnation)`` (the target channel a
-given incarnation reads — a fresh queue on the queue transport, a
-handle onto the *surviving* shared-memory mailbox with a bumped epoch
-on the ring transport), and calls :meth:`WorkerSupervisor.poll` from
-its polling loop.  Everything is injectable (clock, spawn, channels),
-so the supervision logic is unit tested without real processes.
+worker fleet passes a ``spawn`` callable (create + start one worker
+process) and a ``channel_factory(worker_id, incarnation)`` (the target
+channel a given incarnation reads — a handle onto the *surviving*
+shared-memory mailbox or tcp stream with a bumped epoch), and calls
+:meth:`WorkerSupervisor.poll` from its polling loop.  Everything is
+injectable (clock, spawn, channels), so the supervision logic is unit
+tested without real processes.
 
 Telemetry: ``supervisor.stall`` when a progress deadline is missed,
 ``supervisor.restart`` per replacement, ``supervisor.degrade`` when a
@@ -107,13 +107,10 @@ class WorkerSupervisor:
         ``kill()``, ``join(timeout)``, and ``exitcode``.
     channel_factory:
         ``channel_factory(worker_id, incarnation) -> channel`` — the
-        target channel that incarnation reads.  On the queue transport
-        this is a fresh ``ctx.Queue`` per incarnation, so stale targets
-        can neither leak across incarnations nor pile up unread; on the
-        shared-memory transport the underlying mailbox *survives* the
-        restart and the factory returns a handle bound to the new
-        incarnation's epoch, which makes the replacement skip anything
-        published for its predecessor.
+        target channel that incarnation reads.  The underlying mailbox
+        (or tcp stream) *survives* the restart and the factory returns
+        a handle bound to the new incarnation's epoch, which makes the
+        replacement skip anything published for its predecessor.
     max_restarts:
         Restart budget *per worker*; 0 disables restarts entirely.
     stall_timeout:
@@ -195,7 +192,7 @@ class WorkerSupervisor:
 
         ``rebind(worker_id, incarnation, old_channel) -> channel`` —
         used by the warm fleet when re-arming live workers with a new
-        job: the transport keeps its surviving mailbox/stream/queue but
+        job: the transport keeps its surviving mailbox/stream but
         stamps subsequent publishes with the new job's epoch token.
         Unlike a restart, the incarnation does not change and no process
         is spawned.  Progress clocks are reset so a worker is not
@@ -210,7 +207,7 @@ class WorkerSupervisor:
             old = st.target_q
             new = rebind(st.worker_id, st.incarnation, old)
             if new is not old:
-                # Replace (never append): a persistent fleet re-arms on
+                # Replace (never append): a warm fleet re-arms on
                 # every job, and accumulating one channel per worker per
                 # job would grow — and drain at shutdown — without bound.
                 with self._registry_lock:
@@ -257,7 +254,7 @@ class WorkerSupervisor:
 
         A result is fresh when it came from the worker's current
         incarnation.  Stale results (shipped by a killed predecessor,
-        still sitting in the shared queue) are safe to *absorb* — any
+        still in flight on the transport) are safe to *absorb* — any
         solution is a valid solution — but must not reset the
         replacement's progress clock nor update its counter snapshot,
         so the caller branches on the return value.

@@ -54,9 +54,9 @@ the host stamps an ``exchange.reconnect`` telemetry event whenever a
 worker slot is connected more than once.
 
 Trust boundary: the acceptor binds loopback by default and the EVENTS
-frame uses pickle (exactly like the ``queue`` transport's
-``multiprocessing.Queue``), so the listener must only ever face
-machines you would let run this process anyway.
+frame uses pickle (exactly like the shm transport's telemetry side
+queue), so the listener must only ever face machines you would let run
+this process anyway.
 """
 
 from __future__ import annotations
@@ -361,9 +361,6 @@ class _TcpTargetChannel:
 
     def put(self, targets: np.ndarray) -> None:
         self._transport._publish_targets(self._worker_id, self._epoch, targets)
-
-    def get_nowait(self) -> Any:
-        raise queue_mod.Empty  # the stream holds no host-side backlog
 
 
 class TcpHostTransport:

@@ -86,11 +86,11 @@ def solve(
     ``start_method`` picks the multiprocessing start method (default:
     ``fork`` where available).  ``exchange`` picks the host↔worker
     transport: ``"shm"`` (default — the paper's Figure-5 preallocated
-    buffers as bit-packed shared-memory rings), ``"queue"`` (the
-    pickling ``multiprocessing.Queue`` fallback), or ``"tcp"``
+    buffers as bit-packed shared-memory rings) or ``"tcp"``
     (length-prefixed frames over loopback sockets, workers join and
-    leave elastically); ``None`` consults ``REPRO_EXCHANGE``.  ``pipeline=True`` double-buffers GA targets so
-    host generation overlaps worker rounds; ``lockstep=True`` makes
+    leave elastically); ``None`` consults ``REPRO_EXCHANGE``.
+    ``pipeline=True`` double-buffers GA targets so host generation
+    overlaps worker rounds; ``lockstep=True`` makes
     workers block for fresh targets each round (deterministic
     single-worker runs).  Transport choice never changes a seeded
     search's results; ``pipeline`` trades one round of target freshness

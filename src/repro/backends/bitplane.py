@@ -401,22 +401,26 @@ def _compile_library() -> ctypes.CDLL:
     if cc is None:
         raise RuntimeError("no C compiler found (set $CC or install cc/gcc/clang)")
     workdir = Path(tempfile.mkdtemp(prefix="repro-bitplane-"))
-    src = workdir / "bitplane_kernels.c"
-    src.write_text(_C_SOURCE)
-    out = workdir / "bitplane_kernels.so"
-    base = [cc, "-O3", "-funroll-loops", "-fwrapv", "-shared", "-fPIC"]
-    proc = None
-    # -march=native first; retry portable when the toolchain rejects it.
-    for flags in ([*base, "-march=native"], base):
-        proc = subprocess.run(
-            [*flags, "-o", str(out), str(src)], capture_output=True, text=True
-        )
-        if proc.returncode == 0:
-            break
-    else:
-        stderr = (proc.stderr or "").strip() if proc is not None else ""
-        raise RuntimeError(f"bit-plane kernel compilation failed: {stderr[:500]}")
-    lib = ctypes.CDLL(str(out))
+    try:
+        src = workdir / "bitplane_kernels.c"
+        src.write_text(_C_SOURCE)
+        out = workdir / "bitplane_kernels.so"
+        base = [cc, "-O3", "-funroll-loops", "-fwrapv", "-shared", "-fPIC"]
+        proc = None
+        # -march=native first; retry portable when the toolchain rejects it.
+        for flags in ([*base, "-march=native"], base):
+            proc = subprocess.run(
+                [*flags, "-o", str(out), str(src)], capture_output=True, text=True
+            )
+            if proc.returncode == 0:
+                break
+        else:
+            stderr = (proc.stderr or "").strip() if proc is not None else ""
+            raise RuntimeError(f"bit-plane kernel compilation failed: {stderr[:500]}")
+        lib = ctypes.CDLL(str(out))
+    finally:
+        # A loaded library stays mapped after its file is unlinked.
+        shutil.rmtree(workdir, ignore_errors=True)
     for fname in _KERNEL_NAMES:
         getattr(lib, fname).restype = ctypes.c_int64
     return lib

@@ -570,12 +570,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--exchange",
-        choices=("shm", "queue", "tcp"),
+        choices=("shm", "tcp"),
         default=None,
         help="process mode: host<->worker transport — shm (Figure-5 "
-        "bit-packed shared-memory rings, the default), queue "
-        "(pickling mp.Queue fallback), or tcp (framed loopback "
-        "sockets, elastic workers); default: $REPRO_EXCHANGE or shm."
+        "bit-packed shared-memory rings, the default) or tcp (framed "
+        "loopback sockets, elastic workers); default: $REPRO_EXCHANGE "
+        "or shm."
         "  Never changes the search result.",
     )
     p.add_argument(

@@ -464,7 +464,6 @@ class SolverService:
                 max_restarts=cfg.max_worker_restarts,
                 stall_timeout=cfg.worker_stall_timeout,
                 start_method=cfg.start_method,
-                persistent=True,
                 prepared_cache_size=self.config.prepared_cache_size,
                 weights_cache_size=self.config.weights_cache_size,
                 arm_timeout=self.config.arm_timeout,

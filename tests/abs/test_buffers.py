@@ -1,93 +1,9 @@
-"""Tests for the host↔device exchange buffers."""
+"""Tests for the shared-memory weight matrix."""
 
 import numpy as np
 import pytest
 
-from repro.abs.buffers import SharedWeights, SolutionBuffer, TargetBuffer
-
-
-class TestTargetBuffer:
-    def test_write_matrix_and_read(self):
-        buf = TargetBuffer(4, 8)
-        T = np.random.default_rng(0).integers(0, 2, (4, 8), dtype=np.uint8)
-        buf.write(T)
-        assert buf.version == 1
-        assert np.array_equal(buf.read_all(), T)
-        assert np.array_equal(buf.read(2), T[2])
-
-    def test_slot_wraparound_read(self):
-        buf = TargetBuffer(4, 8)
-        T = np.random.default_rng(0).integers(0, 2, (4, 8), dtype=np.uint8)
-        buf.write(T)
-        assert np.array_equal(buf.read(6), T[2])  # 6 mod 4
-
-    def test_write_fewer_vectors_wraps_fill(self):
-        buf = TargetBuffer(4, 3)
-        a = np.array([1, 0, 0], dtype=np.uint8)
-        b = np.array([0, 1, 0], dtype=np.uint8)
-        buf.write([a, b])
-        all_slots = buf.read_all()
-        assert np.array_equal(all_slots[0], a)
-        assert np.array_equal(all_slots[2], a)  # wrapped
-        assert np.array_equal(all_slots[3], b)
-
-    def test_version_counts_writes(self):
-        buf = TargetBuffer(2, 4)
-        T = np.zeros((2, 4), dtype=np.uint8)
-        buf.write(T)
-        buf.write(T)
-        assert buf.version == 2
-
-    def test_shape_validation(self):
-        buf = TargetBuffer(2, 4)
-        with pytest.raises(ValueError):
-            buf.write(np.zeros((3, 4), dtype=np.uint8))
-
-    def test_empty_write_rejected(self):
-        with pytest.raises(ValueError):
-            TargetBuffer(2, 4).write([])
-
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            TargetBuffer(0, 4)
-        with pytest.raises(ValueError):
-            TargetBuffer(2, 0)
-
-    def test_read_returns_copy(self):
-        buf = TargetBuffer(1, 3)
-        buf.write(np.ones((1, 3), dtype=np.uint8))
-        got = buf.read(0)
-        got[0] = 0
-        assert buf.read(0)[0] == 1
-
-
-class TestSolutionBuffer:
-    def test_store_and_drain(self):
-        buf = SolutionBuffer(4)
-        buf.store(-5, np.array([1, 0, 1, 0], dtype=np.uint8))
-        buf.store(-7, np.array([0, 1, 1, 0], dtype=np.uint8))
-        assert buf.counter == 2
-        assert len(buf) == 2
-        sols = buf.drain()
-        assert [s.energy for s in sols] == [-5, -7]
-        assert len(buf) == 0
-        assert buf.counter == 2  # counter is monotone, not reset
-
-    def test_stored_copy_isolated(self):
-        buf = SolutionBuffer(2)
-        x = np.array([1, 0], dtype=np.uint8)
-        buf.store(0, x)
-        x[0] = 0
-        assert buf.drain()[0].x[0] == 1
-
-    def test_length_validation(self):
-        buf = SolutionBuffer(3)
-        with pytest.raises(ValueError):
-            buf.store(0, np.zeros(2, dtype=np.uint8))
-
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            SolutionBuffer(0)
+from repro.abs.buffers import SharedWeights
 
 
 class TestSharedWeights:

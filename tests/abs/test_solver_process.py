@@ -15,8 +15,8 @@ import time
 import numpy as np
 import pytest
 
-import repro.abs.solver as solver_mod
-from repro.abs import AbsConfig, AdaptiveBulkSearch
+import repro.abs.fleet as fleet_mod
+from repro.abs import AbsConfig, AdaptiveBulkSearch, DeviceSimulator
 from repro.qubo import QuboMatrix, energy
 from repro.search import solve_exact
 from repro.telemetry import MemorySink, TelemetryBus
@@ -94,6 +94,31 @@ class TestSolveProcess:
         assert res.counters["supervisor.workers_lost"] == 0
 
 
+class TestSetupTiming:
+    def test_worker_device_build_billed_to_setup(self, small, monkeypatch):
+        """As in sync mode, building the device (backend compile,
+        weight prepare) is set-up: ``setup_ns`` runs until every
+        worker has built its device, and the search clock starts only
+        then."""
+        parent = os.getpid()
+        real_init = DeviceSimulator.__init__
+
+        def slow_init(self, *args, **kwargs):
+            if os.getpid() != parent:  # only inside the forked worker
+                time.sleep(0.3)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(DeviceSimulator, "__init__", slow_init)
+        cfg = AbsConfig(
+            blocks_per_gpu=4, local_steps=8, max_rounds=2, time_limit=30.0,
+            seed=5, start_method="fork",
+        )
+        res = AdaptiveBulkSearch(small, cfg).solve("process")
+        assert res.setup_ns >= 0.3e9
+        assert res.elapsed < 0.3
+        assert res.search_ns == int(round(res.elapsed * 1e9))
+
+
 class TestStartMethod:
     def test_spawn_start_method_roundtrip(self, small):
         """Worker arguments stay picklable, so ``spawn`` must work."""
@@ -123,7 +148,7 @@ class TestWorkerSupervision:
         no hang, and nothing is ever queued to the dead worker."""
         ctx = multiprocessing.get_context("fork")
         degraded = ctx.Event()
-        real_worker = solver_mod._worker_main
+        real_worker = fleet_mod._fleet_worker_main
 
         def flaky_worker(worker_id, incarnation, *rest):
             if worker_id == 1:
@@ -131,7 +156,7 @@ class TestWorkerSupervision:
             degraded.wait()  # survivor starts once the loss is handled
             real_worker(worker_id, incarnation, *rest)
 
-        monkeypatch.setattr(solver_mod, "_worker_main", flaky_worker)
+        monkeypatch.setattr(fleet_mod, "_fleet_worker_main", flaky_worker)
         sink = MemorySink()
         bus = TelemetryBus([sink, _SetOnEvent("supervisor.degrade", degraded)])
         cfg = AbsConfig(
@@ -166,21 +191,25 @@ class TestWorkerSupervision:
         the replacement (the other worker deliberately idles)."""
         ctx = multiprocessing.get_context("fork")
         restarted = ctx.Event()
-        real_worker = solver_mod._worker_main
+        real_worker = fleet_mod._fleet_worker_main
 
         def flaky_worker(worker_id, incarnation, *rest):
-            stop_evt = rest[-3]  # (…, worker_ref, stop_evt, enabled, lockstep)
+            # (control, exchange_ref, stop_evt, ack_q, cache size)
+            control, stop_evt, ack_q = rest[0], rest[2], rest[3]
             if worker_id == 1 and incarnation == 0:
                 os._exit(9)
             if worker_id == 0:
-                # Contribute nothing; prove the replacement carries the run.
+                # Pass the arm handshake, then contribute nothing; prove
+                # the replacement carries the run.
+                job = control.get(timeout=30)
+                ack_q.put((worker_id, job.job_seq))
                 while not stop_evt.is_set():
                     time.sleep(0.01)
                 return
             restarted.wait()
             real_worker(worker_id, incarnation, *rest)
 
-        monkeypatch.setattr(solver_mod, "_worker_main", flaky_worker)
+        monkeypatch.setattr(fleet_mod, "_fleet_worker_main", flaky_worker)
         sink = MemorySink()
         bus = TelemetryBus([sink, _SetOnEvent("supervisor.restart", restarted)])
         cfg = AbsConfig(

@@ -244,7 +244,7 @@ def test_golden_result_bytes_hexdump():
 
 def test_shm_packing_paths_use_wire_dtypes():
     """The regression for the latent-bug audit: the mailbox/ring views
-    and the queue/shm publish paths must produce little-endian int64
+    and the shm publish paths must produce little-endian int64
     and plain uint8 regardless of platform defaults."""
     from repro.abs.exchange import SolutionRing, TargetMailbox
 

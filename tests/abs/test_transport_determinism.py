@@ -20,19 +20,18 @@ import time
 import numpy as np
 import pytest
 
-import repro.abs.solver as solver_mod
+import repro.abs.fleet as fleet_mod
 from repro.abs import AbsConfig, AdaptiveBulkSearch
 from repro.qubo import QuboMatrix, energy
 from repro.telemetry import MemorySink, TelemetryBus
 
 pytestmark = [pytest.mark.process, pytest.mark.timeout(120)]
 
-#: All three transports; the tcp lane carries its marker so the
-#: loopback guard in tests/conftest.py can skip it where socket binds
-#: are forbidden.
+#: Both transports; the tcp lane carries its marker so the loopback
+#: guard in tests/conftest.py can skip it where socket binds are
+#: forbidden.
 ALL_TRANSPORTS = [
     "shm",
-    "queue",
     pytest.param("tcp", marks=pytest.mark.tcp),
 ]
 
@@ -63,14 +62,9 @@ def fingerprint(res):
 
 
 class TestCrossTransportDeterminism:
-    def test_shm_and_queue_bit_identical(self, problem):
-        a = AdaptiveBulkSearch(problem, lockstep_cfg("shm")).solve("process")
-        b = AdaptiveBulkSearch(problem, lockstep_cfg("queue")).solve("process")
-        assert fingerprint(a) == fingerprint(b)
-
     @pytest.mark.tcp
     def test_tcp_bit_identical_to_shm(self, problem):
-        """The acceptance bar: tcp ≡ shm ≡ queue bit-for-bit in
+        """The acceptance bar: tcp ≡ shm bit-for-bit in
         lockstep mode, and telemetry-inert — the solver's search
         counters agree exactly modulo the transport's own
         ``exchange.*`` accounting."""
@@ -139,7 +133,7 @@ class TestRestartWithRings:
         stale targets via the epoch, and carries the solve to the end."""
         ctx = multiprocessing.get_context("fork")
         restarted = ctx.Event()
-        real_worker = solver_mod._worker_main
+        real_worker = fleet_mod._fleet_worker_main
 
         def flaky_worker(worker_id, incarnation, *rest):
             if worker_id == 0 and incarnation == 0:
@@ -147,7 +141,7 @@ class TestRestartWithRings:
             restarted.wait()  # start only after the host handled the death
             real_worker(worker_id, incarnation, *rest)
 
-        monkeypatch.setattr(solver_mod, "_worker_main", flaky_worker)
+        monkeypatch.setattr(fleet_mod, "_fleet_worker_main", flaky_worker)
         before = set(glob.glob("/dev/shm/*"))
         sink = MemorySink()
         bus = TelemetryBus([sink, _SetOnEvent("supervisor.restart", restarted)])

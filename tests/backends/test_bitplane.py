@@ -9,7 +9,9 @@ selection including the forced int64 tier, and explicit single-step
 lockstep runs of both dense tiers and the sparse CSR kernel.
 """
 
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,3 +230,25 @@ class TestSingleStepEquivalence:
         batch.local_steps(30)
         for field in ("X", "delta", "energy", "best_energy", "best_x", "offsets"):
             assert np.array_equal(getattr(one, field), getattr(batch, field))
+
+
+@needs_cc
+class TestCompileTempDir:
+    """``_compile_library`` works in a temp directory it must remove."""
+
+    @staticmethod
+    def _temp_dirs():
+        return set(Path(tempfile.gettempdir()).glob("repro-bitplane-*"))
+
+    def test_compile_removes_its_temp_dir(self):
+        before = self._temp_dirs()
+        lib = bp_mod._compile_library()
+        assert lib is not None
+        assert self._temp_dirs() <= before
+
+    def test_failed_compile_removes_its_temp_dir(self, monkeypatch):
+        monkeypatch.setattr(bp_mod, "_C_SOURCE", "this is not C;")
+        before = self._temp_dirs()
+        with pytest.raises(RuntimeError, match="compilation failed"):
+            bp_mod._compile_library()
+        assert self._temp_dirs() <= before

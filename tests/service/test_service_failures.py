@@ -7,6 +7,7 @@ predecessor's.
 """
 
 import os
+import time
 
 import pytest
 
@@ -98,18 +99,33 @@ class TestWorkerDeathWithJobInFlight:
         detect the death, restart, and arm the replacement with job B
         (a predecessor-frame re-arm would ack job A's sequence and time
         the handshake out)."""
-        cfg_a = lockstep_cfg(seed=1)
-        cfg_b = lockstep_cfg(seed=2)
-        with SolverService() as svc:
-            svc.result(svc.submit(problem, cfg_a), timeout=120)
-            for proc in svc._fleet.supervisor.all_processes:
-                if proc.is_alive():
-                    proc.kill()
-                    proc.join(timeout=10)
-            served = svc.result(svc.submit(problem, cfg_b), timeout=120)
-        one_shot = AdaptiveBulkSearch(problem, cfg_b).solve("process")
-        assert served.workers_restarted == 1
-        assert fingerprint(served) == fingerprint(one_shot)
+        _kill_idle_worker_between_jobs(problem, "shm")
+
+    @pytest.mark.tcp
+    def test_worker_killed_between_jobs_tcp(self, problem):
+        """The same over tcp, where no shared-memory segment exists when
+        the workers fork: the dead worker must leave the host-owned
+        weights segment alone for its replacement."""
+        _kill_idle_worker_between_jobs(problem, "tcp")
+
+
+def _kill_idle_worker_between_jobs(problem, exchange):
+    cfg_a = lockstep_cfg(seed=1, exchange=exchange)
+    cfg_b = lockstep_cfg(seed=2, exchange=exchange)
+    with SolverService() as svc:
+        svc.result(svc.submit(problem, cfg_a), timeout=120)
+        for proc in svc._fleet.supervisor.all_processes:
+            if proc.is_alive():
+                proc.kill()
+                proc.join(timeout=10)
+        # A worker running its own resource tracker would have it
+        # unlink the host-owned weights segment now; give it the time
+        # to, so the replacement's attach would see the loss.
+        time.sleep(1.0)
+        served = svc.result(svc.submit(problem, cfg_b), timeout=120)
+    one_shot = AdaptiveBulkSearch(problem, cfg_b).solve("process")
+    assert served.workers_restarted == 1
+    assert fingerprint(served) == fingerprint(one_shot)
 
 
 class TestFleetRebuild:
