@@ -14,10 +14,10 @@ semantics:
   ``numpy`` (with a one-time warning and a ``backend.fallback``
   telemetry event) when numba is not importable.
 - ``bitplane`` — packed uint64 bit-plane state with runtime-compiled C
-  kernels (``cc -O3 -fwrapv``): the whole ``run_local_steps`` batch is
-  one C call, with XOR/popcount Hamming helpers for straight-search
-  distances.  Falls back to ``numpy`` exactly like ``numba`` when no C
-  compiler is available (or ``REPRO_NO_CC`` is set).
+  kernels (``cc -O3 -fwrapv``, compiled per weight tier on first use):
+  each ``run_local_steps`` batch and each dense ``run_straight`` walk
+  is one C call.  Falls back to ``numpy`` exactly like ``numba`` when
+  no C compiler is available (or ``REPRO_NO_CC`` is set).
 - ``graycode`` — exact Gray-code enumerator for ``n ≤ 30``
   (:func:`~repro.backends.graycode.graycode_minimum`): the ground-truth
   oracle of the differential suite and the decomposition loop's exact

@@ -19,9 +19,10 @@ kernel              paper anchor
 
 A backend implements these against the shared batched state arrays
 (``X`` uint8 ``B×n``, ``delta``/``energy`` int64, ``best_*``) and may
-additionally fuse the whole :meth:`run_local_steps` loop (the dominant
-hot path — one Python-level iteration per forced flip in the reference
-implementation).  All arithmetic is int64; every kernel must be
+additionally fuse the two hot loops built from them —
+:meth:`run_local_steps` (Algorithm 4) and :meth:`run_straight`
+(Algorithm 5) — each one Python-level iteration per flip in the
+reference composition.  All arithmetic is int64; every kernel must be
 **bit-for-bit identical** to the NumPy reference backend, including
 argmin tie-breaking (first minimum wins).  The differential suite in
 ``tests/backends/test_equivalence.py`` pins every registered backend to
@@ -208,6 +209,47 @@ class KernelBackend(ABC):
             updates += self.flip(pw, X, delta, energy, ids, ks)
             self.update_best(X, delta, energy, best_energy, best_x, ids)
             offsets[:] = (offsets + windows) % n
+        return updates
+
+    def run_straight(
+        self,
+        pw: PreparedWeights,
+        X: np.ndarray,
+        T: np.ndarray,
+        delta: np.ndarray,
+        energy: np.ndarray,
+        best_energy: np.ndarray,
+        best_x: np.ndarray,
+        scan_neighbors: bool = True,
+    ) -> int:
+        """Batched Algorithm 5: walk every block ``X[b]`` onto ``T[b]``.
+
+        Each iteration, every block still off its target flips its
+        min-Δ differing bit (lowest index on ties); blocks retire as
+        they arrive, so block ``b`` flips exactly its Hamming distance.
+        After each flip the incumbent is checked over all ``n`` exposed
+        neighbours (``scan_neighbors``, :meth:`update_best`) or at the
+        visited position only (:meth:`track_position`).  ``T`` is a
+        ``B×n`` uint8 array and is not modified.  Mutates the state
+        arrays in place and returns the total delta-entry writes.
+
+        Default implementation composes the primitive kernels with one
+        Python iteration per flip of the farthest block; compiled
+        backends override it with a fused kernel.
+        """
+        diff = X ^ T
+        dist = np.count_nonzero(diff, axis=1)
+        ids = np.flatnonzero(dist)
+        updates = 0
+        for step in range(int(dist.max(initial=0))):
+            ids = ids[dist[ids] > step]
+            ks = self.select_straight(delta, diff, ids)
+            updates += self.flip(pw, X, delta, energy, ids, ks)
+            diff[ids, ks] = 0
+            if scan_neighbors:
+                self.update_best(X, delta, energy, best_energy, best_x, ids)
+            else:
+                self.track_position(X, energy, best_energy, best_x, ids)
         return updates
 
     def __repr__(self) -> str:

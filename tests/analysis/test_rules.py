@@ -121,6 +121,7 @@ def test_kernel_flags_hot_path_process_work():
     assert "'run_local_steps' calls 'subprocess.run'" in joined
     assert "'run_local_steps' calls 'warnings.warn'" in joined
     assert "'run_local_steps' calls 'print'" in joined
+    assert "'run_straight' calls 'warnings.warn'" in joined
     # prepare_dense in the clean fixture does the same work legally.
     assert run_rule("kernel-purity", "kernel/repro/backends/good_backend.py") == []
 

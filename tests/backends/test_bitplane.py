@@ -5,8 +5,9 @@ pins ``bitplane`` step-for-step against the scalar references via the
 ``available_backends()`` parametrization; this module covers what that
 sweep cannot: the packed-plane helper algebra, the ``REPRO_NO_CC``
 fallback lane (mirroring the numba gating contract exactly), dtype-tier
-selection including the forced int64 tier, and explicit single-step
-lockstep runs of both dense tiers and the sparse CSR kernel.
+selection including the forced int64 tier, per-tier compilation and its
+per-process cache, and explicit single-step lockstep runs of both dense
+tiers and the sparse CSR kernel.
 """
 
 import tempfile
@@ -252,3 +253,75 @@ class TestCompileTempDir:
         with pytest.raises(RuntimeError, match="compilation failed"):
             bp_mod._compile_library()
         assert self._temp_dirs() <= before
+
+
+@needs_cc
+class TestPerTierCompile:
+    """Only the weight tier ``prepare_*`` selects is compiled, once per
+    process, and ``BitplaneBackend._lib = None`` forgets every tier."""
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        """Start from an empty cache; record every tier compiled."""
+        seen = []
+        real = bp_mod._compile_library
+
+        def counting(tier="dense_w16_d32"):
+            seen.append(tier)
+            return real(tier)
+
+        monkeypatch.setattr(bp_mod, "_compile_library", counting)
+        monkeypatch.setattr(BitplaneBackend, "_lib", None)
+        return seen
+
+    @staticmethod
+    def _w16():
+        return np.ascontiguousarray(QuboMatrix.random(32, seed=1).W, dtype=np.int64)
+
+    def test_factory_compiles_nothing(self, compiles):
+        assert isinstance(make_bitplane_backend(), BitplaneBackend)
+        assert compiles == []
+
+    def test_w16_prepare_loads_only_w16(self, compiles):
+        pw = BitplaneBackend().prepare_dense(self._w16())
+        assert pw.planes.variant == "dense_w16_d32"
+        assert compiles == ["dense_w16_d32"]
+        assert set(BitplaneBackend._lib) == {"dense_w16_d32"}
+
+    def test_each_tier_compiles_once(self, compiles):
+        backend = BitplaneBackend()
+        for _ in range(2):
+            backend.prepare_dense(self._w16())
+            backend.prepare_dense(self._w16() * 3)
+            backend.prepare_sparse(SparseQubo.from_dense(self._w16()))
+        assert compiles == ["dense_w16_d32", "dense_w64", "sparse_w64"]
+
+    def test_reset_cache_compiles_again(self, compiles):
+        backend = BitplaneBackend()
+        backend.prepare_dense(self._w16())
+        backend.prepare_dense(self._w16())
+        assert compiles == ["dense_w16_d32"]
+        BitplaneBackend._lib = None
+        pw = backend.prepare_dense(self._w16())
+        assert compiles == ["dense_w16_d32", "dense_w16_d32"]
+        eng = BulkSearchEngine(
+            QuboMatrix.random(32, seed=1), 2, backend=backend, prepared=pw
+        )
+        eng.straight_to(np.ones((2, 32), dtype=np.uint8))
+        eng.local_steps(5)
+        eng.validate()
+
+    def test_failed_tier_compile_runs_reference_kernels(self, compiles, monkeypatch):
+        monkeypatch.setattr(bp_mod, "_C_SOURCE", "this is not C;")
+        monkeypatch.setattr(bp_mod, "_warned", False)
+        q = QuboMatrix.random(40, seed=8)
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            bit = BulkSearchEngine(q, 3, windows=6, backend="bitplane")
+        assert getattr(bit._pw, "planes", None) is None
+        ref = BulkSearchEngine(q, 3, windows=6, backend="numpy")
+        T = np.random.default_rng(0).integers(0, 2, (3, 40), dtype=np.uint8)
+        for eng in (ref, bit):
+            eng.straight_to(T)
+            eng.local_steps(10)
+        for field in ("X", "delta", "energy", "best_energy", "best_x"):
+            assert np.array_equal(getattr(ref, field), getattr(bit, field)), field

@@ -22,13 +22,14 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.backends import available_backends, resolve_backend
+from repro.backends import available_backends, cc_available, resolve_backend
 from repro.gpusim import BulkSearchEngine
 from repro.problems.maxcut import maxcut_to_qubo, maxcut_to_sparse_qubo, random_graph
 from repro.qubo import QuboMatrix, SearchState
 from repro.search.bulk import _scan_best
 from repro.search.policies import WindowMinDeltaPolicy
 from repro.search.straight import straight_search
+from repro.telemetry import MemorySink, TelemetryBus
 from tests.helpers.engine_check import assert_engine_valid
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -233,3 +234,135 @@ class TestSolveLevelEquivalence:
             assert np.array_equal(res.best_x, ref.best_x), name
             assert res.counters == ref.counters, name
             assert res.rounds == ref.rounds, name
+
+
+# ----------------------------------------------------------------------
+# Fused Algorithm 5: bitplane run_straight pinned to the numpy reference
+# ----------------------------------------------------------------------
+DENSE_TIERS = ("dense_w16_d32", "dense_w64")
+
+
+def _tier_problem(n, tier, seed):
+    """A dense ``n``-bit problem that ``prepare_dense`` puts on ``tier``.
+
+    The w64 problem has off-diagonals beyond int16 and a diagonal whose
+    Δ bound exceeds int32, so even ``n = 1`` lands on the wide tier.
+    """
+    W = np.asarray(QuboMatrix.random(n, seed=seed).W, dtype=np.int64)
+    if tier == "dense_w64":
+        W *= 5
+        W[0, 0] += 2**33
+    return QuboMatrix(W, check=False)
+
+
+def _straight_events(sink):
+    """``engine.straight`` fields minus the backend name."""
+    return [
+        {k: v for k, v in e.fields.items() if k != "backend"}
+        for e in sink.named("engine.straight")
+    ]
+
+
+def _assert_same_state(ref, eng, context):
+    for field in ("X", "delta", "energy", "best_energy", "best_x", "offsets"):
+        assert np.array_equal(getattr(ref, field), getattr(eng, field)), (
+            f"{context}: {field} diverged"
+        )
+
+
+@pytest.mark.skipif(not cc_available(), reason="no C compiler")
+class TestBitplaneStraightDifferential:
+    """``bitplane``'s C ``run_straight`` against the numpy composition on
+    both dense tiers: state, returned flips, counters and the
+    ``engine.straight`` events must be identical."""
+
+    @staticmethod
+    def _pair(problem, B):
+        sinks, engines = [], []
+        for name in ("numpy", "bitplane"):
+            sink = MemorySink()
+            engines.append(
+                BulkSearchEngine(
+                    problem, B, windows=min(problem.n, 5), backend=name,
+                    bus=TelemetryBus([sink]),
+                )
+            )
+            sinks.append(sink)
+        return engines, sinks
+
+    def _walk(self, problem, B, scan_neighbors, seed, rounds=3):
+        (ref, bit), (s_ref, s_bit) = self._pair(problem, B)
+        rng = np.random.default_rng(seed)
+        for r in range(rounds):
+            T = rng.integers(0, 2, (B, problem.n), dtype=np.uint8)
+            T[r % B] = ref.X[r % B]  # one block already at its target
+            flips = [e.straight_to(T, scan_neighbors=scan_neighbors) for e in (ref, bit)]
+            assert flips[0] == flips[1]
+            assert (bit.X == T).all()
+            _assert_same_state(ref, bit, f"round {r} straight")
+            for e in (ref, bit):
+                e.local_steps(3)
+            _assert_same_state(ref, bit, f"round {r} local")
+        assert ref.counters == bit.counters
+        assert _straight_events(s_ref) == _straight_events(s_bit)
+        assert len(_straight_events(s_bit)) == rounds
+        return bit
+
+    @pytest.mark.parametrize("scan_neighbors", [True, False])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("tier", DENSE_TIERS)
+    def test_matches_numpy(self, tier, n, scan_neighbors):
+        bit = self._walk(_tier_problem(n, tier, seed=n), 4, scan_neighbors, seed=n)
+        assert bit._pw.planes.variant == tier
+        assert_engine_valid(bit, context=f"{tier} n={n}")
+
+    @pytest.mark.parametrize("scan_neighbors", [True, False])
+    @pytest.mark.parametrize("tier", DENSE_TIERS)
+    def test_single_block(self, tier, scan_neighbors):
+        self._walk(_tier_problem(65, tier, seed=3), 1, scan_neighbors, seed=4)
+
+    @pytest.mark.parametrize("tier", DENSE_TIERS)
+    def test_all_blocks_at_target(self, tier):
+        (ref, bit), (s_ref, s_bit) = self._pair(_tier_problem(64, tier, seed=5), 3)
+        for e in (ref, bit):
+            e.local_steps(4)
+        before = {f: getattr(bit, f).copy() for f in ("X", "delta", "energy", "best_energy")}
+        counters = bit.counters.as_dict()
+        assert bit.straight_to(bit.X.copy()) == 0
+        assert ref.straight_to(ref.X.copy()) == 0
+        for f, v in before.items():
+            assert np.array_equal(getattr(bit, f), v), f
+        after = bit.counters.as_dict()
+        assert after["engine.straight_retirements"] == counters["engine.straight_retirements"]
+        assert after["engine.flips"] == counters["engine.flips"]
+        assert _straight_events(s_bit) == _straight_events(s_ref) == [
+            {"flips": 0, "iters": 0, "retired": 0, "already_at_target": 3}
+        ]
+
+    @pytest.mark.parametrize("scan_neighbors", [True, False])
+    @pytest.mark.parametrize("tier", DENSE_TIERS)
+    def test_backend_call_matches_reference(self, tier, scan_neighbors, rng):
+        """The kernel call itself: same delta writes, same arrays, and
+        the targets are left untouched."""
+        problem = _tier_problem(70, tier, seed=6)
+        W = np.ascontiguousarray(problem.W, dtype=np.int64)
+        B, n = 3, problem.n
+        T = rng.integers(0, 2, (B, n), dtype=np.uint8)
+        T_before = T.copy()
+        out = []
+        for name in ("numpy", "bitplane"):
+            backend = resolve_backend(name)
+            X = np.zeros((B, n), dtype=np.uint8)
+            delta = np.tile(np.diagonal(W), (B, 1))
+            energy = np.zeros(B, dtype=np.int64)
+            best_energy = np.full(B, _INT64_MAX, dtype=np.int64)
+            best_x = np.zeros((B, n), dtype=np.uint8)
+            updates = backend.run_straight(
+                backend.prepare_dense(W), X, T, delta, energy, best_energy,
+                best_x, scan_neighbors,
+            )
+            out.append((updates, X, delta, energy, best_energy, best_x))
+        for a, b in zip(*out):
+            assert np.array_equal(a, b)
+        assert out[0][0] == int(T.sum()) * n
+        assert np.array_equal(T, T_before)

@@ -22,10 +22,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.backends import available_backends, resolve_backend  # noqa: E402
+from repro.backends import available_backends, cc_available, resolve_backend  # noqa: E402
 from repro.gpusim import BulkSearchEngine  # noqa: E402
 from repro.qubo import QuboMatrix, SparseQubo, energy as qubo_energy  # noqa: E402
-from repro.telemetry import TelemetryBus  # noqa: E402
+from repro.telemetry import MemorySink, TelemetryBus  # noqa: E402
 from tests.helpers.engine_check import assert_engine_valid  # noqa: E402
 
 N = 20
@@ -160,3 +160,54 @@ class TestInterleavingInvariants:
         assert np.array_equal(quiet.energy, loud.energy)
         assert np.array_equal(quiet.best_energy, loud.best_energy)
         assert _counter_tuple(quiet.counters) == _counter_tuple(loud.counters)
+
+
+@pytest.mark.skipif(not cc_available(), reason="no C compiler")
+class TestBitplaneStraightProperty:
+    """Random sizes, block counts, targets and scan modes: the fused
+    bitplane ``run_straight`` lands on exactly the numpy reference's
+    state, counters and ``engine.straight`` events, on both dense tiers
+    (wide weights force ``dense_w64``)."""
+
+    @given(
+        n=st.integers(min_value=1, max_value=130),
+        blocks=st.integers(min_value=1, max_value=4),
+        wide=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**16),
+        scans=st.lists(st.booleans(), min_size=1, max_size=3),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_straight_matches_numpy(self, n, blocks, wide, seed, scans):
+        W = np.asarray(QuboMatrix.random(n, seed=seed).W, dtype=np.int64)
+        if wide:
+            W *= 5
+            W[0, 0] += 2**33  # Δ bound beyond int32, even at n = 1
+        problem = QuboMatrix(W, check=False)
+        sinks = [MemorySink(), MemorySink()]
+        ref, bit = (
+            BulkSearchEngine(
+                problem, blocks, windows=min(n, 4), backend=_backend(name),
+                bus=TelemetryBus([sink]),
+            )
+            for name, sink in zip(("numpy", "bitplane"), sinks)
+        )
+        assert bit._pw.planes.variant == ("dense_w64" if wide else "dense_w16_d32")
+        rng = np.random.default_rng(seed)
+        for i, scan in enumerate(scans):
+            T = rng.integers(0, 2, (blocks, n), dtype=np.uint8)
+            if i % 2:
+                T[0] = ref.X[0]  # a block already at its target
+            assert ref.straight_to(T, scan_neighbors=scan) == bit.straight_to(
+                T, scan_neighbors=scan
+            )
+            ref.local_steps(2)
+            bit.local_steps(2)
+        for field in ("X", "delta", "energy", "best_energy", "best_x", "offsets"):
+            assert np.array_equal(getattr(ref, field), getattr(bit, field)), field
+        assert _counter_tuple(ref.counters) == _counter_tuple(bit.counters)
+        events = [
+            [{k: v for k, v in e.fields.items() if k != "backend"}
+             for e in sink.named("engine.straight")]
+            for sink in sinks
+        ]
+        assert events[0] == events[1]
