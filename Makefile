@@ -14,9 +14,9 @@ test-fast:              ## skip the slow example subprocess smoke tests
 test-process:           ## only the multiprocessing (worker supervision) tests
 	pytest -m process tests/
 
-test-backends:          ## backend suite on all lanes: as-installed, then with numba/cc masked
+test-backends:          ## backend suite on both lanes: as-installed, then with the C compiler masked
 	pytest tests/backends -q
-	REPRO_NO_NUMBA=1 REPRO_NO_CC=1 pytest tests/backends -q
+	REPRO_NO_CC=1 pytest tests/backends -q
 
 test-exchange:          ## exchange + process suites on the default shm rings (make test-tcp runs the tcp lane)
 	REPRO_EXCHANGE=shm pytest -m "exchange_shm or process" tests/ -q

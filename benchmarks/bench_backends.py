@@ -1,4 +1,4 @@
-"""Backend shoot-out — numpy reference vs numba JIT vs bit-plane C kernels.
+"""Backend shoot-out — numpy reference vs bit-plane C kernels.
 
 Measures ``local_steps`` throughput (the dominant hot path of a solve)
 for every *actually available* kernel backend at several ``(n, B)``
@@ -8,17 +8,17 @@ Results land in ``benchmarks/results/BENCH_backends.json`` with
 per-point flip rates and the speedup of each backend over numpy.
 
 Fallbacks are a hard bench failure, never a measurement: a backend
-whose factory degrades (no numba, no C compiler) is resolved through
+whose factory degrades (no C compiler) is resolved through
 :func:`benchmarks.conftest.resolve_backend_strict`, listed under
 ``"unavailable"`` in the JSON with the reason, and records **no
 points** — and ``bitplane`` specifically is required to be available,
 so a machine that silently lost its C compiler fails the bench instead
 of publishing numpy numbers under the bitplane name.
 
-The ``graycode`` backend is measured too (engine kernels inherited
-from numpy, so ~1×) and additionally benched at its real job: the
-``graycode_exact`` section times exhaustive enumeration states/s and
-cross-checks the optimum against ``repro.search.exact.solve_exact``.
+The ``graycode_exact`` section times the Gray-code exact enumerator
+(:func:`~repro.backends.graycode.graycode_minimum`, the suite's oracle)
+in states/s and cross-checks the optimum against
+``repro.search.exact.solve_exact``.
 
 Runnable both ways::
 
@@ -83,7 +83,7 @@ def _measure(backend, requested: str, n: int, blocks: int, steps: int) -> dict:
         problem, blocks, windows=16, offsets=np.zeros(blocks, dtype=np.int64),
         backend=backend,
     )
-    eng.local_steps(4)  # warm-up (JIT / C compile happened at prepare time)
+    eng.local_steps(4)  # warm-up (the C compile happened at prepare time)
     t0 = time.perf_counter()
     eng.local_steps(steps)
     elapsed = time.perf_counter() - t0
@@ -191,9 +191,9 @@ def _render(payload: dict) -> str:
 
 def test_bench_backends(report):
     payload = run_bench()
-    # The bit-plane backend is this repo's own code, not an optional
-    # third-party JIT: it falling back means the bench machine (or a
-    # regression) broke it — fail, don't record numpy numbers for it.
+    # The bit-plane backend is this repo's own code: it falling back
+    # means the bench machine (or a regression) broke it — fail, don't
+    # record numpy numbers for it.
     assert "bitplane" in payload["measured"], (
         "bitplane backend unavailable: "
         + payload["unavailable"].get("bitplane", "not registered")

@@ -65,12 +65,12 @@ class AbsConfig:
         Figure-2 selection window: int, ``"spread"``, or per-block list.
     backend:
         Kernel backend name for the bulk engine (``"numpy"``,
-        ``"numba"``, or any name registered with
+        ``"bitplane"``, or any name registered with
         :func:`repro.backends.register_backend`).  ``None`` (default)
         consults the ``REPRO_BACKEND`` environment variable and falls
         back to ``"numpy"``.  Backend choice never changes the search
-        result — only kernel speed (``numba`` degrades to ``numpy``
-        with a warning when numba is not installed).
+        result — only kernel speed (``bitplane`` degrades to ``numpy``
+        with a warning when no C compiler is available).
     pool_capacity:
         Host solution-pool size ``m``.
     ga:
@@ -90,8 +90,8 @@ class AbsConfig:
     time_limit:
         Wall-clock budget in seconds.
     max_rounds:
-        Round-count budget (sync mode; in process mode it bounds the
-        host's polling loop).
+        Budget of device results the host loop absorbs, summed over
+        devices (the same count in both modes).
     seed:
         Root seed for every random stream in the run.
     max_worker_restarts:
@@ -122,15 +122,6 @@ class AbsConfig:
         so workers can join and leave elastically.  ``None`` consults
         the ``REPRO_EXCHANGE`` environment variable, then defaults to
         ``"shm"``.  Transport choice never changes the search result.
-    pipeline:
-        Process mode only: double-buffer GA targets — the host
-        prepares the *next* target batch for a worker right after
-        absorbing its round, so GA generation for round ``i + 1``
-        overlaps the worker's execution of round ``i`` and a fresh
-        result is answered with a pre-generated batch instantly.
-        Targets are generated from a pool state one round staler,
-        which the paper's asynchronous-tolerance argument already
-        licenses.  Off by default.
     diversity_min_dist:
         Diverse-ABS pool admission (arXiv:2207.03069): reject a
         candidate whose Hamming distance to some pool entry is below
@@ -181,7 +172,6 @@ class AbsConfig:
     worker_stall_timeout: float | None = None
     start_method: str | None = None
     exchange: str | None = None
-    pipeline: bool = False
     lockstep: bool = False
     diversity_min_dist: int = 0
     variants: str | Sequence[str] | None = None

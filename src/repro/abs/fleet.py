@@ -61,12 +61,12 @@ from repro.abs.buffers import SharedWeights
 from repro.abs.config import AbsConfig
 from repro.abs.device import DeviceSimulator
 from repro.abs.exchange import (
+    ResultBatch,
     make_host_transport,
     open_worker_endpoint,
     resolve_exchange,
 )
 from repro.abs.host import Host
-from repro.abs.result import SolveResult
 from repro.abs.supervisor import WorkerSupervisor
 from repro.telemetry.bus import NULL_BUS, NullBus, RelayBus, TelemetryBus
 
@@ -94,39 +94,23 @@ def decode_token(token: int) -> tuple[int, int]:
     return divmod(int(token), JOB_STRIDE)
 
 
-def _counter_snapshot(
-    host: Host,
-    engine_counters: dict[str, int],
-    adapt_total: int,
-    extra: dict[str, int] | None = None,
-) -> dict[str, int]:
-    """Per-run counter snapshot for :attr:`SolveResult.counters`.
-
-    Derived from component state after the run finishes — available
-    whether or not a telemetry bus was attached.  ``pool.inserted``
-    includes the initial random seeding (Step 1 inserts at ``+∞``).
-    """
-    counts = host.ga_counts
-    snap = {
-        "host.solutions_absorbed": host.absorbed,
-        "pool.inserted": host.pool.inserted,
-        "pool.rejected_duplicate": host.pool.rejected_duplicate,
-        "pool.rejected_worse": host.pool.rejected_worse,
-        "pool.rejected_diverse": host.pool.rejected_diverse,
-        "ga.mutation": counts["mutation"],
-        "ga.crossover": counts["crossover"],
-        "ga.copy": counts["copy"],
-        "adapt.reassignments": adapt_total,
-    }
-    snap.update(engine_counters)
-    if extra:
-        snap.update(extra)
-    return dict(sorted(snap.items()))
-
-
 def _merge_counts(into: dict[str, int], add: dict[str, int]) -> None:
     for key, value in add.items():
         into[key] = into.get(key, 0) + int(value)
+
+
+def device_counters(device: DeviceSimulator) -> dict[str, int]:
+    """A device's cumulative counters, as each of its results reports them."""
+    adapter = device.adapter
+    counts = device.engine.counters.as_dict()
+    counts["adapt.reassignments"] = (
+        adapter.adaptations if adapter is not None else 0
+    )
+    counts["adapt.nonfinite_observations"] = (
+        adapter.nonfinite_observations if adapter is not None else 0
+    )
+    counts["variant.tabu_steps"] = device.tabu_steps_done
+    return counts
 
 
 def _resolve_start_method(requested: str | None) -> str:
@@ -157,7 +141,7 @@ class DeviceSpec(NamedTuple):
     """One device's search knobs, as :class:`DeviceSimulator` takes them.
 
     Built once per job by the solver (homogeneous ladder or Diverse-ABS
-    variant) and used verbatim by the sync loop and by fleet workers.
+    variant) and used verbatim by in-process devices and fleet workers.
     """
 
     windows: np.ndarray
@@ -231,7 +215,6 @@ class _StopProxy:
 def run_device_rounds(
     device: DeviceSimulator,
     endpoint: Any,
-    adapter: WindowAdapter | None,
     relay: Any,
     stop_evt: Any,
     lockstep: bool,
@@ -248,21 +231,13 @@ def run_device_rounds(
     targets = endpoint.fetch_targets(wait=True)
     while targets is not None and not stop_evt.is_set():
         energies, xs = device.round(targets)
-        wcounts = device.engine.counters.as_dict()
-        wcounts["adapt.reassignments"] = (
-            adapter.adaptations if adapter is not None else 0
-        )
-        wcounts["adapt.nonfinite_observations"] = (
-            adapter.nonfinite_observations if adapter is not None else 0
-        )
-        wcounts["variant.tabu_steps"] = device.tabu_steps_done
         wevents = relay.drain() if telemetry_enabled else []
         shipped = endpoint.publish(
             energies,
             xs,
             device.evaluated,
             device.engine.counters.flips,
-            wcounts,
+            device_counters(device),
             wevents,
         )
         if not shipped:  # stop requested while the ring was full
@@ -384,7 +359,6 @@ def _fleet_worker_main(
             run_device_rounds(
                 device,
                 endpoint,
-                adapter,
                 relay,
                 proxy,
                 job.lockstep,
@@ -763,162 +737,189 @@ class SearchOutcome:
 
     rounds: int = 0
     sweeps: int = 0
-    evaluated: int = 0
-    flips: int = 0
-    engine_counts: dict[str, int] = field(default_factory=dict)
+    counts: dict[str, int] = field(default_factory=dict)
     history: list[tuple[float, int]] = field(default_factory=list)
     time_to_target: float | None = None
     was_cancelled: bool = False
 
 
+class FleetDevices:
+    """One job's device set on an armed :class:`WorkerFleet`.
+
+    The seam :func:`run_search_rounds` drives, plus what crossing a
+    process boundary needs:
+
+    - epoch-token filtering: a previous job's frames still in flight
+      after a re-arm only feed the liveness clock (absorbing another
+      problem's solution would be wrong, not merely stale);
+    - incarnation banking: a dead incarnation's cumulative counters are
+      banked, so a restart neither drops nor double-counts work;
+    - relayed events and session counters: worker events ride the
+      transport and are re-emitted here, and the bus counters advance
+      by the delta between a worker's cumulative snapshots (its relay
+      bus drops its own increments);
+    - restart rehydration: a replacement gets fresh GA targets from
+      the current pool — Algorithm 5 walks it there from the zero
+      state, so no other worker state needs recovering.
+
+    Build it before :meth:`WorkerFleet.arm_job`: per-job restart, loss
+    and transport numbers are diffs against the fleet's totals here.
+    """
+
+    def __init__(
+        self, fleet: WorkerFleet, job_seq: int, bus: TelemetryBus | NullBus
+    ) -> None:
+        sup = fleet.supervisor
+        if sup is None:
+            raise RuntimeError("fleet not started")
+        self._fleet = fleet
+        self._sup = sup
+        self._job_seq = job_seq
+        self._bus = bus
+        # The first job on a fleet owns everything since spawn: workers
+        # may already have said HELLO (tcp) before this line.
+        first_job = fleet.jobs_armed == 0
+        self._base: dict[str, int] = {
+            "supervisor.restarts": 0 if first_job else sup.workers_restarted,
+            "supervisor.workers_lost": 0 if first_job else sup.workers_lost,
+            **({} if first_job else fleet.transport.stats),
+        }
+        #: Latest cumulative snapshot per worker (current incarnation).
+        self._latest: list[dict[str, int]] = [{} for _ in range(fleet.n_workers)]
+        self._banked: dict[str, int] = {}
+
+    @property
+    def healthy_ids(self) -> list[int]:
+        return self._sup.healthy_ids
+
+    def accepts(self, g: int) -> bool:
+        return self._sup.target_channel(g) is not None
+
+    def put(self, g: int, targets: np.ndarray) -> None:
+        ch = self._sup.target_channel(g)
+        if ch is not None:
+            ch.put(targets)
+
+    def queue_depths(self, g: int) -> tuple[int, int]:
+        return self._fleet.transport.queue_depths(g, self._sup.target_channel(g))
+
+    def poll(self, host: Host) -> ResultBatch | None:
+        """Supervise, then take one result of this job (``None``: none)."""
+        sup = self._sup
+        for action in sup.poll():
+            _merge_counts(self._banked, self._latest[action.worker_id])
+            self._latest[action.worker_id] = {}
+            if action.kind == "restart":
+                # The channel is the replacement's — for shm it
+                # publishes under the new epoch into the same mailbox.
+                self.put(
+                    action.worker_id,
+                    host.make_targets(self._fleet.n_blocks, device=action.worker_id),
+                )
+        batch = self._fleet.transport.poll(timeout=0.25)
+        if batch is None:
+            if sup.n_healthy == 0:
+                raise RuntimeError(
+                    "all ABS workers died before finishing "
+                    f"(after {sup.workers_restarted} restarts)"
+                )
+            return None
+        g = batch.worker_id
+        batch_seq, batch_inc = decode_token(batch.incarnation)
+        fresh = sup.note_result(g, batch_inc)
+        if batch_seq != self._job_seq:
+            return None  # proof of life only
+        if fresh:
+            bus = self._bus
+            if bus.enabled:
+                prev = self._latest[g]
+                for key, value in batch.counters.items():
+                    delta = int(value) - int(prev.get(key, 0))
+                    if delta:
+                        bus.counters.inc(key, delta)
+                self._fleet.relay_events(bus, self._job_seq)
+            self._latest[g] = batch.counters
+        return batch
+
+    def finish(self) -> dict[str, int]:
+        """The job's device-side counters, once the host loop stops."""
+        # Late bundles — e.g. a reconnect during the final round — would
+        # otherwise be dropped with the run already decided.
+        self._fleet.relay_events(self._bus, self._job_seq)
+        counts = dict(self._banked)
+        for latest in self._latest:
+            _merge_counts(counts, latest)
+        sup = self._sup
+        now = {
+            "supervisor.restarts": sup.workers_restarted,
+            "supervisor.workers_lost": sup.workers_lost,
+            **self._fleet.transport.stats,
+        }
+        counts.update(
+            {k: int(v) - int(self._base.get(k, 0)) for k, v in now.items()}
+        )
+        # Process-mode fleets are static; keep the key for parity with
+        # sync-mode snapshots.
+        counts["adapt.variant_reassignments"] = 0
+        return counts
+
+
 def run_search_rounds(
     cfg: AbsConfig,
     host: Host,
-    fleet: WorkerFleet,
+    devices: Any,
     watch: Any,
     *,
     bus: TelemetryBus | NullBus,
     met_target: Callable[[float], bool],
-    job_seq: int,
     cancelled: Callable[[], bool] | None = None,
 ) -> SearchOutcome:
-    """Drive one job's host loop over an armed fleet (Figure 5 host).
+    """The host of Figure 5 (§3.1 Steps 2–4), for every solve mode.
 
-    The fleet's workers must already be armed with the job identified
-    by ``job_seq`` (:meth:`WorkerFleet.arm_job`).  Publishes initial targets, then
-    polls results / supervises / answers with fresh GA targets until a
-    stop criterion fires.  Frames from *other* jobs — a previous job's
-    results still in flight after a re-arm — only feed the liveness
-    clock; their solutions, counters, and events are dropped (absorbing
-    a stale job's solution into a different problem's pool would be
-    wrong, not merely stale).
+    Publishes the initial targets, then takes device results one at a
+    time, pools each, and answers it with as many fresh GA targets as
+    arrived, until a stop criterion fires.  ``devices`` is a device
+    set — :class:`FleetDevices` in process mode, the solver's
+    in-process set in sync mode — offering ``put(g, targets)``,
+    ``accepts(g)`` (device ``g`` still reads targets),
+    ``queue_depths(g)``, ``healthy_ids``, ``poll(host)`` (the next
+    :class:`~repro.abs.exchange.ResultBatch`, or ``None`` when none
+    arrived in time) and ``finish()`` (the run's device-side counters).
     """
-    transport = fleet.transport
-    supervisor = fleet.supervisor
     out = SearchOutcome()
-    rounds_by_worker = [0] * cfg.n_gpus
-    prepared: list[np.ndarray | None] = [None] * cfg.n_gpus
-    eval_by_worker = [0] * cfg.n_gpus
-    flips_by_worker = [0] * cfg.n_gpus
-    counts_by_worker: list[dict[str, int]] = [{} for _ in range(cfg.n_gpus)]
-    banked_eval = 0
-    banked_flips = 0
-    banked_counts: dict[str, int] = {}
-
-    def _bank(g: int) -> None:
-        # Fold the defunct incarnation's cumulative totals into the
-        # run accumulators and reset the per-worker latest slots for
-        # the replacement (which restarts its counters from zero).
-        nonlocal banked_eval, banked_flips
-        banked_eval += eval_by_worker[g]
-        banked_flips += flips_by_worker[g]
-        eval_by_worker[g] = 0
-        flips_by_worker[g] = 0
-        _merge_counts(banked_counts, counts_by_worker[g])
-        counts_by_worker[g] = {}
-
-    def _supervise() -> None:
-        for action in supervisor.poll():
-            _bank(action.worker_id)
-            if action.kind == "restart":
-                # Rehydrate the replacement from the current pool:
-                # Algorithm 5 walks it from the zero state to these
-                # targets, so no other worker state needs recovery.
-                # (The channel is the replacement's — for the shm
-                # transport it publishes under the new epoch into
-                # the same surviving mailbox.)
-                ch = supervisor.target_channel(action.worker_id)
-                if ch is not None:
-                    ch.put(
-                        host.make_targets(
-                            cfg.blocks_per_gpu, device=action.worker_id
-                        )
-                    )
-                    if cfg.pipeline:
-                        prepared[action.worker_id] = host.make_targets(
-                            cfg.blocks_per_gpu, device=action.worker_id
-                        )
-
-    def _relay_events() -> None:
-        # See WorkerFleet.relay_events; the fleet also drains late
-        # bundles at re-arm and shutdown so nothing is dropped.
-        fleet.relay_events(bus, job_seq)
-
+    rounds_by_device = [0] * cfg.n_gpus
     targets = host.initial_targets(cfg.total_blocks)
     for g in range(cfg.n_gpus):
-        ch = supervisor.target_channel(g)
-        if ch is not None:
-            lo = g * cfg.blocks_per_gpu
-            ch.put(np.ascontiguousarray(targets[lo : lo + cfg.blocks_per_gpu]))
-    if cfg.pipeline:
-        for g in range(cfg.n_gpus):
-            prepared[g] = host.make_targets(cfg.blocks_per_gpu, device=g)
-
-    done = False
-    while not done:
-        _supervise()
-        batch = transport.poll(timeout=0.25)
+        lo = g * cfg.blocks_per_gpu
+        devices.put(g, np.ascontiguousarray(targets[lo : lo + cfg.blocks_per_gpu]))
+    while True:
+        batch = devices.poll(host)
         if batch is None:
             if cancelled is not None and cancelled():
                 out.was_cancelled = True
                 break
             if cfg.time_limit is not None and watch.elapsed >= cfg.time_limit:
                 break
-            if supervisor.n_healthy == 0:
-                raise RuntimeError(
-                    "all ABS workers died before finishing "
-                    f"(after {supervisor.workers_restarted} restarts)"
-                )
             continue
-        worker_id = batch.worker_id
-        batch_seq, batch_inc = decode_token(batch.incarnation)
-        if batch_seq != job_seq:
-            # A previous job's result still in flight: proof of life,
-            # nothing else — its solutions belong to another problem.
-            supervisor.note_result(worker_id, batch_inc)
-            continue
+        g = batch.worker_id
         out.rounds += 1
-        rounds_by_worker[worker_id] += 1
-        fresh_result = supervisor.note_result(worker_id, batch_inc)
-        if fresh_result:
-            if bus.enabled:
-                # Session counters reconcile from the cumulative
-                # worker snapshots: increment by the delta since
-                # the previous report of this incarnation.
-                prev = counts_by_worker[worker_id]
-                for key, value in batch.counters.items():
-                    delta = int(value) - int(prev.get(key, 0))
-                    if delta:
-                        bus.counters.inc(key, delta)
-            eval_by_worker[worker_id] = batch.evaluated
-            flips_by_worker[worker_id] = batch.flips
-            counts_by_worker[worker_id] = batch.counters
+        rounds_by_device[g] += 1
         if bus.enabled:
             bus.counters.inc("host.rounds")
-            if fresh_result:
-                _relay_events()
             bus.emit(
                 "worker.result",
-                worker=worker_id,
+                worker=g,
                 round=out.rounds,
                 best_energy=int(batch.energies.min()),
                 evaluated=batch.evaluated,
                 flips=batch.flips,
             )
-        if cfg.pipeline and prepared[worker_id] is not None:
-            # Answer the result with the pre-generated batch
-            # *before* absorbing — the worker's next round never
-            # waits on host GA latency.
-            ch = supervisor.target_channel(worker_id)
-            if ch is not None:
-                ch.put(prepared[worker_id])
-                prepared[worker_id] = None
         host.absorb_batch(batch.energies, batch.x)
         if bus.enabled:
             bus.emit(
                 "host.round",
                 round=out.rounds,
-                device=worker_id,
+                device=g,
                 best_energy=host.best_energy,
                 pool_size=len(host.pool),
                 elapsed=watch.elapsed,
@@ -926,115 +927,28 @@ def run_search_rounds(
         if math.isfinite(host.best_energy):
             out.history.append((watch.elapsed, int(host.best_energy)))
         if met_target(host.best_energy):
-            if out.time_to_target is None:
-                out.time_to_target = watch.elapsed
-            done = True
-        elif cancelled is not None and cancelled():
+            out.time_to_target = watch.elapsed
+            break
+        if cancelled is not None and cancelled():
             out.was_cancelled = True
-            done = True
-        elif cfg.time_limit is not None and watch.elapsed >= cfg.time_limit:
-            done = True
-        elif cfg.max_rounds is not None and out.rounds >= cfg.max_rounds:
-            done = True
-        elif cfg.pipeline:
-            # Step 4, pipelined: this batch answers the *next*
-            # result (targets one pool-state staler — the
-            # asynchrony the paper already tolerates).
-            if supervisor.target_channel(worker_id) is not None:
-                prepared[worker_id] = host.make_targets(
-                    cfg.blocks_per_gpu, device=worker_id
+            break
+        if cfg.time_limit is not None and watch.elapsed >= cfg.time_limit:
+            break
+        if cfg.max_rounds is not None and out.rounds >= cfg.max_rounds:
+            break
+        # Step 4: as many fresh targets as solutions arrived — but never
+        # feed a device nobody reads any more.
+        if devices.accepts(g):
+            devices.put(g, host.make_targets(cfg.blocks_per_gpu, device=g))
+            if bus.enabled:
+                tq, rq = devices.queue_depths(g)
+                bus.emit(
+                    "host.queue",
+                    device=g,
+                    targets_queued=tq,
+                    results_queued=rq,
                 )
-        else:
-            # Step 4: as many fresh targets as solutions arrived
-            # — but never feed a channel nobody reads any more.
-            ch = supervisor.target_channel(worker_id)
-            if ch is not None:
-                ch.put(host.make_targets(cfg.blocks_per_gpu, device=worker_id))
-                if bus.enabled:
-                    tq, rq = transport.queue_depths(worker_id, ch)
-                    bus.emit(
-                        "host.queue",
-                        device=worker_id,
-                        targets_queued=tq,
-                        results_queued=rq,
-                    )
-
-    if bus.enabled:
-        # Late bundles — e.g. a reconnect during the final round —
-        # would otherwise be dropped with the run already decided.
-        _relay_events()
-    out.engine_counts = dict(banked_counts)
-    for wcounts in counts_by_worker:
-        _merge_counts(out.engine_counts, wcounts)
-    out.evaluated = sum(eval_by_worker) + banked_eval
-    out.flips = sum(flips_by_worker) + banked_flips
-    healthy = supervisor.healthy_ids
-    sweep_counts = [rounds_by_worker[g] for g in healthy] or rounds_by_worker
-    out.sweeps = min(sweep_counts)
+    out.counts = devices.finish()
+    healthy = devices.healthy_ids
+    out.sweeps = min([rounds_by_device[g] for g in healthy] or rounds_by_device)
     return out
-
-
-def assemble_process_result(
-    cfg: AbsConfig,
-    n: int,
-    host: Host,
-    outcome: SearchOutcome,
-    elapsed: float,
-    *,
-    met_target: Callable[[float], bool],
-    bus: TelemetryBus | NullBus,
-    restarts: int,
-    lost: int,
-    transport_stats: dict[str, int],
-    setup_ns: int = 0,
-    search_ns: int = 0,
-) -> SolveResult:
-    """Build the :class:`SolveResult` for one process-mode run.
-
-    ``restarts``/``lost``/``transport_stats`` are *per-job* numbers —
-    :meth:`~repro.abs.solver.AdaptiveBulkSearch.solve_on_fleet` diffs
-    the fleet's lifetime totals against the values at job start so a
-    long-lived fleet's history does not leak into every result.
-    ``setup_ns``/``search_ns`` land on the result (and the bus
-    counters when telemetry is on) but deliberately **not** in
-    ``result.counters``: that snapshot is pinned bit-identical across
-    runs, transports, and telemetry on/off, and wall-clock never is.
-    """
-    engine_counts = dict(outcome.engine_counts)
-    adapt_total = int(engine_counts.pop("adapt.reassignments", 0))
-    best_x = host.best_x if host.best_x is not None else np.zeros(n, np.uint8)
-    best_e = int(host.best_energy) if math.isfinite(host.best_energy) else 0
-    if bus.enabled:
-        bus.counters.inc("solver.setup_ns", setup_ns)
-        bus.counters.inc("solver.search_ns", search_ns)
-    return SolveResult(
-        best_x=best_x,
-        best_energy=best_e,
-        elapsed=elapsed,
-        rounds=outcome.rounds,
-        sweeps=outcome.sweeps,
-        evaluated=outcome.evaluated,
-        flips=outcome.flips,
-        reached_target=met_target(host.best_energy),
-        time_to_target=outcome.time_to_target,
-        history=outcome.history,
-        n_gpus=cfg.n_gpus,
-        counters=_counter_snapshot(
-            host,
-            engine_counts,
-            adapt_total,
-            extra={
-                "supervisor.restarts": restarts,
-                "supervisor.workers_lost": lost,
-                # Process-mode fleets are static; keep the key for
-                # counter parity with sync-mode snapshots.
-                "adapt.variant_reassignments": 0,
-                **transport_stats,
-            },
-        ),
-        workers_restarted=restarts,
-        workers_lost=lost,
-        pool_mean_distance=host.pool.mean_pairwise_distance(),
-        setup_ns=setup_ns,
-        search_ns=search_ns,
-    )

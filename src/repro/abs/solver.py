@@ -1,8 +1,10 @@
 """The top-level ABS solver: host + devices in sync or process mode.
 
-``"sync"`` mode interleaves the host loop and device rounds in one
-process — deterministic given a seed, and the mode every
-time-to-solution benchmark uses.  ``"process"`` mode launches one OS
+Both modes run the same host loop
+(:func:`~repro.abs.fleet.run_search_rounds`) over a different device
+set.  ``"sync"`` mode steps in-process devices on the calling thread,
+round-robin (:class:`LocalDevices`) — deterministic given a seed, and
+the mode every time-to-solution benchmark uses.  ``"process"`` mode launches one OS
 process per simulated GPU, mirroring the paper's multi-GPU deployment:
 the weight matrix lives in shared memory (one copy, like GPU global
 memory), targets flow host → device and solutions device → host through
@@ -12,8 +14,7 @@ shared-memory rings by default, framed loopback sockets with
 no fresh targets keeps searching from its current state, exactly the
 paper's asynchronous tolerance.  ``AbsConfig.lockstep`` trades that
 freedom for determinism (workers wait for fresh targets after every
-round), and ``AbsConfig.pipeline`` double-buffers targets so host GA
-for round ``i + 1`` overlaps worker execution of round ``i``.
+round).
 
 Every process-mode solve runs on a :class:`~repro.abs.fleet.WorkerFleet`:
 a one-shot ``solve("process")`` starts a short-lived fleet, runs one
@@ -44,17 +45,19 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.abs.adaptive import VariantController, WindowAdapter
+from repro.abs.adaptive import VariantController
 from repro.abs.config import AbsConfig, resolve_windows
 from repro.abs.variants import SearchVariant, get_variant, resolve_fleet
 from repro.abs.device import DeviceSimulator
+from repro.abs.exchange import ResultBatch
 from repro.abs.fleet import (
     DeviceSpec,
+    FleetDevices,
     WorkerFleet,
     WorkerJob,
-    _counter_snapshot,
+    _make_adapter,
     _merge_counts,
-    assemble_process_result,
+    device_counters,
     run_search_rounds,
 )
 from repro.abs.host import Host
@@ -63,6 +66,71 @@ from repro.qubo.matrix import WeightsLike, as_weight_matrix
 from repro.telemetry.bus import NULL_BUS, NullBus, TelemetryBus
 from repro.utils.rng import RngFactory
 from repro.utils.timer import Stopwatch
+
+
+class LocalDevices:
+    """Sync mode's device set: in-process devices on the calling thread.
+
+    :meth:`poll` runs the next device's round, round-robin, so the host
+    answers each result with that device's next targets exactly as it
+    answers a lockstep fleet worker.  The devices share the caller's
+    bus, so their counters land on it directly — no snapshot
+    reconciliation, and the ``backend.<name>.*_ns`` timings survive.  A
+    Diverse-ABS :class:`VariantController` may move a device to another
+    variant at each sweep boundary, applied by ``reassign(device, host,
+    variant, g)``.
+    """
+
+    def __init__(
+        self,
+        devices: list[DeviceSimulator],
+        reassign: Callable[[DeviceSimulator, Host, SearchVariant, int], None],
+        controller: VariantController | None = None,
+    ) -> None:
+        self.devices = devices
+        self.healthy_ids = list(range(len(devices)))
+        self._targets: list[Any] = [None] * len(devices)
+        self._next = 0
+        self._controller = controller
+        self._reassign = reassign
+
+    def accepts(self, g: int) -> bool:
+        return True
+
+    def put(self, g: int, targets: np.ndarray) -> None:
+        self._targets[g] = targets
+
+    def queue_depths(self, g: int) -> tuple[int, int]:
+        return -1, 0  # one slot per device, holding the freshest batch
+
+    def poll(self, host: Host) -> ResultBatch:
+        g = self._next
+        ctl = self._controller
+        if ctl is not None and g == 0 and self.devices[0].rounds:
+            move = ctl.end_sweep()
+            if move is not None:
+                moved, _, to_name = move
+                self._reassign(
+                    self.devices[moved], host, get_variant(to_name), moved
+                )
+        device = self.devices[g]
+        energies, xs = device.round(self._targets[g])
+        if ctl is not None:
+            ctl.observe(g, float(energies.min()))
+        self._next = (g + 1) % len(self.devices)
+        return ResultBatch(
+            g, 0, energies, xs, device.evaluated, device.engine.counters.flips
+        )
+
+    def finish(self) -> dict[str, int]:
+        counts: dict[str, int] = {}
+        for device in self.devices:
+            _merge_counts(counts, device_counters(device))
+        ctl = self._controller
+        if ctl is not None:
+            counts["adapt.nonfinite_observations"] += ctl.nonfinite_observations
+        counts["adapt.variant_reassignments"] = ctl.reassignments if ctl else 0
+        return counts
 
 
 class AdaptiveBulkSearch:
@@ -106,11 +174,43 @@ class AdaptiveBulkSearch:
     # ------------------------------------------------------------------
     def solve(self, mode: str = "sync") -> SolveResult:
         """Run to a stopping criterion; returns the best found solution."""
-        if mode == "sync":
-            return self._solve_sync()
         if mode == "process":
             return self._solve_process()
-        raise ValueError(f"unknown mode {mode!r} (use 'sync' or 'process')")
+        if mode != "sync":
+            raise ValueError(f"unknown mode {mode!r} (use 'sync' or 'process')")
+        t_entry = time.perf_counter_ns()
+        cfg = self.config
+        factory = RngFactory(cfg.seed)
+        fleet = self._fleet()
+        host = self._new_host(factory, fleet)
+        devices = [
+            DeviceSimulator(
+                self.W,
+                cfg.blocks_per_gpu,
+                **spec._asdict(),
+                adapter=_make_adapter(
+                    self.n, cfg.blocks_per_gpu, self._adapt_params(factory, g), self.bus
+                ),
+                backend=cfg.backend,
+                bus=self.bus,
+                device_id=g,
+            )
+            for g, spec in enumerate(self._device_specs(fleet))
+        ]
+        controller = (
+            VariantController(
+                [v.name for v in fleet],
+                period=cfg.variant_adapt_period,
+                bus=self.bus,
+            )
+            if fleet is not None and cfg.variant_adapt
+            else None
+        )
+        if self.bus.enabled:
+            self._emit_start("sync")
+        return self._run(
+            host, LocalDevices(devices, self._apply_variant, controller), t_entry
+        )
 
     # ------------------------------------------------------------------
     # Shared helpers
@@ -177,17 +277,15 @@ class AdaptiveBulkSearch:
             ),
         )
 
-    def _make_adapter(self, factory: RngFactory, g: int) -> WindowAdapter | None:
+    def _adapt_params(self, factory: RngFactory, g: int) -> tuple:
+        """Device ``g``'s window-adapter settings, the same in both modes
+        (a lockstep worker then adapts exactly like its sync twin)."""
         cfg = self.config
-        if not cfg.adapt_windows:
-            return None
-        return WindowAdapter(
-            self.n,
-            cfg.blocks_per_gpu,
-            period=cfg.adapt_period,
-            fraction=cfg.adapt_fraction,
-            seed=factory.stream("adapt", g),
-            bus=self.bus,
+        return (
+            cfg.adapt_windows,
+            cfg.adapt_period,
+            cfg.adapt_fraction,
+            factory.stream("adapt", g),
         )
 
     def _emit_start(self, mode: str) -> None:
@@ -207,7 +305,7 @@ class AdaptiveBulkSearch:
             pool_capacity=cfg.pool_capacity,
             seed=cfg.seed,
             adapt_windows=cfg.adapt_windows,
-            # The *active* backend: a requested-but-unavailable numba
+            # The *active* backend: a requested-but-unavailable bitplane
             # resolves to numpy here, matching what the engines will do.
             backend=resolve_backend(cfg.backend).name,
             diversity_min_dist=cfg.diversity_min_dist,
@@ -228,9 +326,76 @@ class AdaptiveBulkSearch:
             workers_lost=result.workers_lost,
         )
 
-    # ------------------------------------------------------------------
-    # Sync mode
-    # ------------------------------------------------------------------
+    def _run(
+        self,
+        host: Host,
+        devices: Any,
+        t_entry: int,
+        cancelled: Callable[[], bool] | None = None,
+    ) -> SolveResult:
+        """Run the host loop over ``devices``; build the one result.
+
+        ``setup_ns`` is billed from ``t_entry`` to the loop's start.  It
+        and ``search_ns`` land on the result (and the bus counters when
+        telemetry is on) but deliberately **not** in ``result.counters``:
+        that snapshot is pinned bit-identical across runs, modes,
+        transports, and telemetry on/off, and wall-clock never is.
+        """
+        cfg, bus = self.config, self.bus
+        setup_ns = time.perf_counter_ns() - t_entry
+        watch = Stopwatch().start()
+        out = run_search_rounds(
+            cfg,
+            host,
+            devices,
+            watch,
+            bus=bus,
+            met_target=self._met_target,
+            cancelled=cancelled,
+        )
+        elapsed = watch.stop()
+        ga, pool = host.ga_counts, host.pool
+        # Derived from component state after the run, so available with
+        # or without telemetry.  ``pool.inserted`` includes the initial
+        # random seeding (Step 1 inserts at ``+inf``).
+        counters = {
+            "host.solutions_absorbed": host.absorbed,
+            "pool.inserted": pool.inserted,
+            "pool.rejected_duplicate": pool.rejected_duplicate,
+            "pool.rejected_worse": pool.rejected_worse,
+            "pool.rejected_diverse": pool.rejected_diverse,
+            "ga.mutation": ga["mutation"],
+            "ga.crossover": ga["crossover"],
+            "ga.copy": ga["copy"],
+            "adapt.reassignments": 0,
+            **out.counts,
+        }
+        finite = math.isfinite(host.best_energy)
+        result = SolveResult(
+            best_x=host.best_x if host.best_x is not None else np.zeros(self.n, np.uint8),
+            best_energy=int(host.best_energy) if finite else 0,
+            elapsed=elapsed,
+            rounds=out.rounds,
+            sweeps=out.sweeps,
+            evaluated=counters.get("engine.evaluated", 0),
+            flips=counters.get("engine.flips", 0),
+            reached_target=self._met_target(host.best_energy),
+            time_to_target=out.time_to_target,
+            history=out.history,
+            n_gpus=cfg.n_gpus,
+            counters=dict(sorted(counters.items())),
+            workers_restarted=counters.get("supervisor.restarts", 0),
+            workers_lost=counters.get("supervisor.workers_lost", 0),
+            pool_mean_distance=pool.mean_pairwise_distance(),
+            setup_ns=setup_ns,
+            search_ns=int(round(elapsed * 1e9)),
+        )
+        if bus.enabled:
+            bus.counters.inc("solver.setup_ns", result.setup_ns)
+            bus.counters.inc("solver.search_ns", result.search_ns)
+            self._emit_end(result)
+        return result
+
     def _apply_variant(
         self, device: DeviceSimulator, host: Host, variant: SearchVariant, g: int
     ) -> None:
@@ -241,161 +406,6 @@ class AdaptiveBulkSearch:
         device.scan_neighbors = spec.scan_neighbors
         device.set_tabu(spec.tabu_steps, spec.tabu_tenure)
         host.set_device_ga(g, variant.effective_ga(self.config.ga))
-
-    def _sync_targets(
-        self, host: Host, fleet: list[SearchVariant] | None
-    ) -> np.ndarray:
-        """Step 4 for one sync sweep.
-
-        Homogeneous runs keep the single ``make_targets(total)`` call —
-        and with it the base RNG draw order, bit-for-bit.  A variant
-        fleet generates each device's batch from that device's own
-        variant generator.
-        """
-        cfg = self.config
-        if fleet is None:
-            return host.make_targets(cfg.total_blocks)
-        return np.concatenate(
-            [
-                host.make_targets(cfg.blocks_per_gpu, device=g)
-                for g in range(cfg.n_gpus)
-            ]
-        )
-
-    def _solve_sync(self) -> SolveResult:
-        cfg = self.config
-        bus = self.bus
-        t_entry = time.perf_counter_ns()
-        factory = RngFactory(cfg.seed)
-        fleet = self._fleet()
-        host = self._new_host(factory, fleet)
-        devices = [
-            DeviceSimulator(
-                self.W,
-                cfg.blocks_per_gpu,
-                **spec._asdict(),
-                adapter=self._make_adapter(factory, g),
-                backend=cfg.backend,
-                bus=bus,
-                device_id=g,
-            )
-            for g, spec in enumerate(self._device_specs(fleet))
-        ]
-        controller = (
-            VariantController(
-                [v.name for v in fleet],
-                period=cfg.variant_adapt_period,
-                bus=bus,
-            )
-            if fleet is not None and cfg.variant_adapt
-            else None
-        )
-
-        if bus.enabled:
-            self._emit_start("sync")
-        setup_ns = time.perf_counter_ns() - t_entry
-        watch = Stopwatch().start()
-        targets = host.initial_targets(cfg.total_blocks)
-        history: list[tuple[float, int]] = []
-        rounds = 0
-        rounds_by_device = [0] * cfg.n_gpus
-        time_to_target: float | None = None
-        done = False
-
-        while not done:
-            for g, device in enumerate(devices):
-                lo = g * cfg.blocks_per_gpu
-                batch = np.ascontiguousarray(
-                    targets[lo : lo + cfg.blocks_per_gpu]
-                )
-                energies, xs = device.round(batch)
-                host.absorb_batch(energies, xs)
-                if controller is not None:
-                    controller.observe(g, float(energies.min()))
-                rounds += 1
-                rounds_by_device[g] += 1
-                if bus.enabled:
-                    bus.counters.inc("host.rounds")
-                    bus.emit(
-                        "host.round",
-                        round=rounds,
-                        device=g,
-                        best_energy=host.best_energy,
-                        pool_size=len(host.pool),
-                        elapsed=watch.elapsed,
-                    )
-                if self._met_target(host.best_energy):
-                    if time_to_target is None:
-                        time_to_target = watch.elapsed
-                    done = True
-                    break
-                if cfg.time_limit is not None and watch.elapsed >= cfg.time_limit:
-                    done = True
-                    break
-                if cfg.max_rounds is not None and rounds >= cfg.max_rounds:
-                    done = True
-                    break
-            if math.isfinite(host.best_energy):
-                history.append((watch.elapsed, int(host.best_energy)))
-            if not done:
-                if controller is not None:
-                    move = controller.end_sweep()
-                    if move is not None:
-                        moved, _, to_name = move
-                        self._apply_variant(
-                            devices[moved], host, get_variant(to_name), moved
-                        )
-                targets = self._sync_targets(host, fleet)
-
-        elapsed = watch.stop()
-        evaluated = sum(d.evaluated for d in devices)
-        flips = sum(d.engine.counters.flips for d in devices)
-        engine_counts: dict[str, int] = {}
-        for d in devices:
-            _merge_counts(engine_counts, d.engine.counters.as_dict())
-        adapt_total = sum(
-            d.adapter.adaptations for d in devices if d.adapter is not None
-        )
-        nonfinite_total = sum(
-            d.adapter.nonfinite_observations
-            for d in devices
-            if d.adapter is not None
-        )
-        if controller is not None:
-            nonfinite_total += controller.nonfinite_observations
-        variant_extra = {
-            "adapt.nonfinite_observations": nonfinite_total,
-            "adapt.variant_reassignments": (
-                controller.reassignments if controller is not None else 0
-            ),
-            "variant.tabu_steps": sum(d.tabu_steps_done for d in devices),
-        }
-        best_x = host.best_x if host.best_x is not None else np.zeros(self.n, np.uint8)
-        best_e = int(host.best_energy) if math.isfinite(host.best_energy) else 0
-        result = SolveResult(
-            best_x=best_x,
-            best_energy=best_e,
-            elapsed=elapsed,
-            rounds=rounds,
-            sweeps=min(rounds_by_device),
-            evaluated=evaluated,
-            flips=flips,
-            reached_target=self._met_target(host.best_energy),
-            time_to_target=time_to_target,
-            history=history,
-            n_gpus=cfg.n_gpus,
-            counters=_counter_snapshot(
-                host, engine_counts, adapt_total, extra=variant_extra
-            ),
-            pool_mean_distance=host.pool.mean_pairwise_distance(),
-            setup_ns=setup_ns,
-            search_ns=int(round(elapsed * 1e9)),
-        )
-        if bus.enabled:
-            bus.counters.inc("solver.setup_ns", result.setup_ns)
-            bus.counters.inc("solver.search_ns", result.search_ns)
-            self._emit_end(result)
-        return result
 
     # ------------------------------------------------------------------
     # Process mode
@@ -475,10 +485,6 @@ class AdaptiveBulkSearch:
         factory = RngFactory(cfg.seed)
         fleet = self._fleet()
         host = self._new_host(factory, fleet)
-        adapt_seeds = [
-            int(factory.stream("adapt-seed", g).integers(2**62))
-            for g in range(cfg.n_gpus)
-        ]
         weights_ref, _weights_hit = workers.weights_ref_for(self.W, digest)
         job_seq = workers.next_job_seq()
         jobs = [
@@ -489,60 +495,15 @@ class AdaptiveBulkSearch:
                 n_blocks=cfg.blocks_per_gpu,
                 device=spec,
                 backend=cfg.backend,
-                adapt_params=(
-                    cfg.adapt_windows,
-                    cfg.adapt_period,
-                    cfg.adapt_fraction,
-                    adapt_seeds[g],
-                ),
+                adapt_params=self._adapt_params(factory, g),
                 telemetry_enabled=bus.enabled,
                 lockstep=cfg.lockstep,
             )
             for g, spec in enumerate(self._device_specs(fleet))
         ]
-        sup = workers.supervisor
-        # Per-job numbers are diffs against the fleet's totals at job
-        # start.  The first job on a fleet owns everything since spawn:
-        # workers may already have said HELLO (tcp) before this line.
-        first_job = workers.jobs_armed == 0
-        base_restarts = 0 if first_job else sup.workers_restarted
-        base_lost = 0 if first_job else sup.workers_lost
-        base_stats: dict[str, Any] = {} if first_job else dict(workers.transport.stats)
+        devices = FleetDevices(workers, job_seq, bus)
         if bus.enabled:
             self._emit_start("process")
             bus.emit("exchange.open", **workers.transport.describe())
         workers.arm_job(jobs)
-        setup_ns = time.perf_counter_ns() - t_entry
-        watch = Stopwatch().start()
-        outcome = run_search_rounds(
-            cfg,
-            host,
-            workers,
-            watch,
-            bus=bus,
-            met_target=self._met_target,
-            job_seq=job_seq,
-            cancelled=cancelled,
-        )
-        elapsed = watch.stop()
-        stats_now = workers.transport.stats
-        result = assemble_process_result(
-            cfg,
-            self.n,
-            host,
-            outcome,
-            elapsed,
-            met_target=self._met_target,
-            bus=bus,
-            restarts=sup.workers_restarted - base_restarts,
-            lost=sup.workers_lost - base_lost,
-            transport_stats={
-                k: int(v) - int(base_stats.get(k, 0))
-                for k, v in stats_now.items()
-            },
-            setup_ns=setup_ns,
-            search_ns=int(round(elapsed * 1e9)),
-        )
-        if bus.enabled:
-            self._emit_end(result)
-        return result
+        return self._run(host, devices, t_entry, cancelled)

@@ -149,13 +149,12 @@ class WorkerSupervisor:
         self._workers = [_WorkerState(g) for g in range(n_workers)]
         # Per-worker state (_workers) is externally synchronized — poll,
         # rebind, and note_result all run on the owning host loop.  The
-        # ever-spawned registries are different: fleet shutdown() walks
-        # them from whatever thread closes the service, concurrently
-        # with a supervise-thread restart appending to them.  Scopes
-        # stay call-free so no lock-order edges can form.
+        # ever-spawned process registry is different: fleet shutdown()
+        # walks it from whatever thread closes the service, concurrently
+        # with a supervise-thread restart appending to it.  Scopes stay
+        # call-free so no lock-order edges can form.
         self._registry_lock = threading.Lock()
         self._all_procs: list[Any] = []  # guarded-by: _registry_lock
-        self._all_channels: list[Any] = []  # guarded-by: _registry_lock
         #: Total successful restarts across all workers.
         self.workers_restarted = 0
         #: Workers permanently retired (restart budget exhausted).
@@ -173,8 +172,6 @@ class WorkerSupervisor:
         now = self._clock()
         for st in self._workers:
             st.target_q = self._channel_factory(st.worker_id, st.incarnation)
-            with self._registry_lock:
-                self._all_channels.append(st.target_q)
             st.proc = self._spawn(st.worker_id, st.incarnation, st.target_q)
             with self._registry_lock:
                 self._all_procs.append(st.proc)
@@ -204,20 +201,7 @@ class WorkerSupervisor:
         for st in self._workers:
             if st.lost:
                 continue
-            old = st.target_q
-            new = rebind(st.worker_id, st.incarnation, old)
-            if new is not old:
-                # Replace (never append): a warm fleet re-arms on
-                # every job, and accumulating one channel per worker per
-                # job would grow — and drain at shutdown — without bound.
-                with self._registry_lock:
-                    for i, ch in enumerate(self._all_channels):
-                        if ch is old:
-                            self._all_channels[i] = new
-                            break
-                    else:  # pragma: no cover - untracked channel
-                        self._all_channels.append(new)
-                st.target_q = new
+            st.target_q = rebind(st.worker_id, st.incarnation, st.target_q)
             st.last_progress = now
 
     def incarnation(self, worker_id: int) -> int:
@@ -239,12 +223,6 @@ class WorkerSupervisor:
         """Every process ever spawned (for final join/terminate)."""
         with self._registry_lock:
             return list(self._all_procs)
-
-    @property
-    def all_channels(self) -> list[Any]:
-        """Every target channel ever created (for final draining)."""
-        with self._registry_lock:
-            return list(self._all_channels)
 
     # ------------------------------------------------------------------
     # Progress accounting
@@ -316,8 +294,6 @@ class WorkerSupervisor:
         st.restarts_used += 1
         st.incarnation += 1
         st.target_q = self._channel_factory(st.worker_id, st.incarnation)
-        with self._registry_lock:
-            self._all_channels.append(st.target_q)
         st.proc = self._spawn(st.worker_id, st.incarnation, st.target_q)
         with self._registry_lock:
             self._all_procs.append(st.proc)

@@ -45,7 +45,6 @@ def solve(
     worker_stall_timeout: float | None = None,
     start_method: str | None = None,
     exchange: str | None = None,
-    pipeline: bool = False,
     lockstep: bool = False,
     diversity_min_dist: int = 0,
     variants: str | None = None,
@@ -64,10 +63,10 @@ def solve(
     applied.
 
     ``backend`` picks the engine's kernel backend (``"numpy"`` — the
-    reference — or ``"numba"``, which JIT-fuses the hot local-search
-    loop and silently degrades to ``"numpy"`` with a one-time warning
-    when numba is not installed; ``None`` consults the
-    ``REPRO_BACKEND`` environment variable).  Backend choice never
+    reference — or ``"bitplane"``, compiled C kernels that degrade to
+    ``"numpy"`` with a one-time warning when no C compiler is
+    available; ``None`` consults the ``REPRO_BACKEND`` environment
+    variable).  Backend choice never
     changes the result of a seeded solve — every backend is pinned
     step-for-step to the same search (see ``docs/backends.md``).
 
@@ -89,12 +88,9 @@ def solve(
     buffers as bit-packed shared-memory rings) or ``"tcp"``
     (length-prefixed frames over loopback sockets, workers join and
     leave elastically); ``None`` consults ``REPRO_EXCHANGE``.
-    ``pipeline=True`` double-buffers GA targets so host generation
-    overlaps worker rounds; ``lockstep=True`` makes
-    workers block for fresh targets each round (deterministic
-    single-worker runs).  Transport choice never changes a seeded
-    search's results; ``pipeline`` trades one round of target freshness
-    for latency — see ``docs/exchange.md``.
+    ``lockstep=True`` makes workers block for fresh targets each round
+    (deterministic single-worker runs).  Transport choice never changes
+    a seeded search's results — see ``docs/exchange.md``.
 
     Diverse ABS (arXiv:2207.03069; see ``docs/algorithms.md``):
     ``diversity_min_dist`` turns on Hamming-niched pool admission
@@ -143,7 +139,6 @@ def solve(
         worker_stall_timeout=worker_stall_timeout,
         start_method=start_method,
         exchange=exchange,
-        pipeline=pipeline,
         lockstep=lockstep,
         diversity_min_dist=diversity_min_dist,
         variants=variants,

@@ -9,19 +9,17 @@ semantics:
 
 - ``numpy`` — the vectorized reference implementation (always
   available; ground truth for the differential-equivalence suite);
-- ``numba`` — optional JIT backend with fused multi-step kernels that
-  eliminate the per-step Python loop in ``local_steps``.  Falls back to
-  ``numpy`` (with a one-time warning and a ``backend.fallback``
-  telemetry event) when numba is not importable.
 - ``bitplane`` — packed uint64 bit-plane state with runtime-compiled C
   kernels (``cc -O3 -fwrapv``, compiled per weight tier on first use):
   each ``run_local_steps`` batch and each dense ``run_straight`` walk
-  is one C call.  Falls back to ``numpy`` exactly like ``numba`` when
-  no C compiler is available (or ``REPRO_NO_CC`` is set).
-- ``graycode`` — exact Gray-code enumerator for ``n ≤ 30``
-  (:func:`~repro.backends.graycode.graycode_minimum`): the ground-truth
-  oracle of the differential suite and the decomposition loop's exact
-  finisher.  Engine kernels are inherited from ``numpy``.
+  is one C call.  Falls back to ``numpy`` (with a one-time warning and
+  a ``backend.fallback`` telemetry event) when no C compiler is
+  available (or ``REPRO_NO_CC`` is set).
+
+:func:`~repro.backends.graycode.graycode_minimum`, an exact Gray-code
+enumerator for ``n ≤ 30``, is not an engine backend: it is the
+ground-truth oracle of the backend suite and the decomposition loop's
+exact finisher.
 
 Selection flows through :attr:`AbsConfig.backend <repro.abs.config.AbsConfig>`,
 ``repro.solve(backend=...)``, the CLI ``--backend`` flag, or the
@@ -42,8 +40,7 @@ from typing import Callable, Union
 
 from repro.backends.base import KernelBackend, PreparedWeights
 from repro.backends.bitplane import cc_available, make_bitplane_backend
-from repro.backends.graycode import GraycodeBackend, graycode_minimum
-from repro.backends.numba_backend import make_numba_backend, numba_available
+from repro.backends.graycode import graycode_minimum
 from repro.backends.numpy_backend import NumpyBackend
 
 #: Environment variable consulted when no backend is named explicitly.
@@ -71,8 +68,8 @@ def register_backend(name: str, factory: Callable[[], KernelBackend]) -> None:
 
 
 def available_backends() -> tuple[str, ...]:
-    """Registered backend names, sorted (registration ≠ importability:
-    ``numba`` is always listed and falls back when not importable)."""
+    """Registered backend names, sorted (registration ≠ availability:
+    ``bitplane`` is always listed and falls back without a compiler)."""
     return tuple(sorted(_REGISTRY))
 
 
@@ -106,15 +103,12 @@ def resolve_backend(spec: BackendSpec = None) -> KernelBackend:
 
 
 register_backend("numpy", NumpyBackend)
-register_backend("numba", make_numba_backend)
 register_backend("bitplane", make_bitplane_backend)
-register_backend("graycode", GraycodeBackend)
 
 __all__ = [
     "KernelBackend",
     "PreparedWeights",
     "NumpyBackend",
-    "GraycodeBackend",
     "BACKEND_ENV_VAR",
     "DEFAULT_BACKEND",
     "available_backends",
@@ -122,8 +116,6 @@ __all__ = [
     "get_backend",
     "graycode_minimum",
     "make_bitplane_backend",
-    "make_numba_backend",
-    "numba_available",
     "register_backend",
     "resolve_backend",
 ]

@@ -52,15 +52,14 @@ weights, maximal deltas), so the row add is a fixed-length loop that
 the compiler vectorizes without remainder code, which keeps the
 compile short.
 
-A C compiler is an *optional* dependency, gated exactly like numba:
-when none is found (or ``REPRO_NO_CC`` is set, which the test suite
-uses to exercise the fallback lane), :func:`make_bitplane_backend`
-returns the NumPy reference backend tagged ``fallback_from="bitplane"``
-and warns once per process.  A compiler that is found but fails on a
-tier gets the same warning, and that problem runs the inherited
-reference kernels.  The packed-plane helpers (:func:`pack_rows` /
-:func:`unpack_rows` / :func:`hamming_distances`) are plain NumPy and
-always available.
+A C compiler is an *optional* dependency: when none is found (or
+``REPRO_NO_CC`` is set, which the test suite uses to exercise the
+fallback lane), :func:`make_bitplane_backend` returns the NumPy
+reference backend tagged ``fallback_from="bitplane"`` and warns once
+per process.  A compiler that is found but fails on a tier gets the
+same warning, and that problem runs the inherited reference kernels.
+The packed-plane helpers (:func:`pack_rows` / :func:`unpack_rows` /
+:func:`hamming_distances`) are plain NumPy and always available.
 """
 
 from __future__ import annotations
@@ -417,7 +416,7 @@ def cc_available() -> bool:
 
     ``REPRO_NO_CC`` (any non-empty value) masks an installed compiler —
     the mechanism the test suite uses to cover the fallback path
-    deterministically, mirroring ``REPRO_NO_NUMBA``.
+    deterministically.
     """
     if os.environ.get("REPRO_NO_CC", ""):
         return False

@@ -44,12 +44,10 @@ def _add_backend_flag(p: argparse.ArgumentParser) -> None:
         "--backend",
         default=None,
         metavar="NAME",
-        help="kernel backend: numpy (reference), numba (JIT), bitplane "
-        "(packed uint64 state + compiled C kernels), or graycode "
-        "(exact enumerator, engine kernels = numpy).  numba/bitplane "
-        "fall back to numpy when their toolchain is missing; default: "
-        "$REPRO_BACKEND or numpy.  Never changes the search result, "
-        "only speed.",
+        help="kernel backend: numpy (reference) or bitplane (packed "
+        "uint64 state + compiled C kernels; falls back to numpy without "
+        "a C compiler); default: $REPRO_BACKEND or numpy.  Never changes "
+        "the search result, only speed.",
     )
 
 
@@ -105,7 +103,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         worker_stall_timeout=args.worker_stall_timeout,
         start_method=args.start_method,
         exchange=args.exchange,
-        pipeline=args.pipeline,
         lockstep=args.lockstep,
         diversity_min_dist=args.diversity_min_dist,
         variants=args.variants,
@@ -577,12 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
         "loopback sockets, elastic workers); default: $REPRO_EXCHANGE "
         "or shm."
         "  Never changes the search result.",
-    )
-    p.add_argument(
-        "--pipeline",
-        action="store_true",
-        help="process mode: double-buffer GA targets so host generation "
-        "overlaps worker rounds (targets one round staler)",
     )
     p.add_argument(
         "--lockstep",

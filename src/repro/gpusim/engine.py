@@ -98,7 +98,7 @@ class BulkSearchEngine:
         Initial window offsets.  Default staggers blocks across the bit
         range so equal-window blocks don't walk in lockstep.
     backend:
-        Kernel backend: a registry name (``"numpy"``, ``"numba"``), a
+        Kernel backend: a registry name (``"numpy"``, ``"bitplane"``), a
         :class:`~repro.backends.KernelBackend` instance, or ``None`` to
         consult the ``REPRO_BACKEND`` environment variable and default
         to ``"numpy"``.  Backend choice never changes the search —

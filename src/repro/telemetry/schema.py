@@ -164,8 +164,8 @@ EVENT_SCHEMAS: dict[str, EventSpec] = {
         optional={"device": INT, "backend": STR},
     ),
     # Kernel-backend resolution (repro.backends): emitted once per
-    # engine when the requested backend was substituted (e.g. ``numba``
-    # requested without numba importable).
+    # engine when the requested backend was substituted (e.g.
+    # ``bitplane`` requested without a C compiler).
     "backend.fallback": EventSpec(
         required={"requested": STR, "using": STR, "reason": STR},
         optional={"device": INT},

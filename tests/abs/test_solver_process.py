@@ -236,3 +236,37 @@ class TestWorkerSupervision:
         # The run snapshot carries the supervision outcome too.
         assert res.counters["supervisor.restarts"] == 1
         assert res.counters["supervisor.workers_lost"] == 0
+
+
+class TestOneHostLoop:
+    """Sync and process mode share one host loop and one result builder,
+    so a single lockstep worker reproduces the sync solve in full."""
+
+    @pytest.mark.parametrize(
+        "exchange", ["shm", pytest.param("tcp", marks=pytest.mark.tcp)]
+    )
+    def test_lockstep_process_matches_sync_history_and_counters(
+        self, small, exchange
+    ):
+        kwargs = dict(
+            n_gpus=1, blocks_per_gpu=6, local_steps=8, pool_capacity=16,
+            max_rounds=10, seed=42, adapt_windows=True, adapt_period=2,
+            variants="tabu", diversity_min_dist=2,
+        )
+        s = AdaptiveBulkSearch(small, AbsConfig(**kwargs)).solve("sync")
+        p = AdaptiveBulkSearch(
+            small,
+            AbsConfig(**kwargs, time_limit=60.0, exchange=exchange, lockstep=True),
+        ).solve("process")
+        assert [e for _, e in p.history] == [e for _, e in s.history]
+        assert len(s.history) == s.rounds
+
+        def search_counters(res):
+            return {
+                k: v for k, v in res.counters.items()
+                if not k.startswith(("exchange.", "supervisor."))
+            }
+
+        assert search_counters(p) == search_counters(s)
+        assert s.counters["adapt.reassignments"] > 0
+        assert s.counters["variant.tabu_steps"] > 0

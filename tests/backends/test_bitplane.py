@@ -4,10 +4,10 @@ The registry-wide differential suite (``test_equivalence.py``) already
 pins ``bitplane`` step-for-step against the scalar references via the
 ``available_backends()`` parametrization; this module covers what that
 sweep cannot: the packed-plane helper algebra, the ``REPRO_NO_CC``
-fallback lane (mirroring the numba gating contract exactly), dtype-tier
-selection including the forced int64 tier, per-tier compilation and its
-per-process cache, and explicit single-step lockstep runs of both dense
-tiers and the sparse CSR kernel.
+fallback lane (tagging, the one-time warning, the ``backend.fallback``
+event), dtype-tier selection including the forced int64 tier, per-tier
+compilation and its per-process cache, and explicit single-step
+lockstep runs of both dense tiers and the sparse CSR kernel.
 """
 
 import tempfile

@@ -1,23 +1,23 @@
-"""Gray-code exact backend: oracle agreement, edge cases, finisher.
+"""Gray-code exact enumeration: oracle agreement, edge cases, finisher.
 
 ``graycode_minimum`` is the ground-truth oracle of the backend suite:
 these tests pin it against an independent numpy brute force (all 2^n
 states materialized at once) and against ``repro.search.exact``'s
-blocked enumerator, for dense and densified-CSR weights, then exercise
+blocked enumerator, for dense and densified-CSR weights, pin every
+registered backend's full seeded solve to its answer, then exercise
 its second role as the decomposition loop's exact finisher.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
+from repro.abs import AbsConfig, AdaptiveBulkSearch
 from repro.abs.decompose import DecompositionConfig, DecompositionSolver
-from repro.backends import available_backends, resolve_backend
-from repro.backends.graycode import (
-    MAX_GRAYCODE_BITS,
-    GraycodeBackend,
-    graycode_minimum,
-)
-from repro.gpusim import BulkSearchEngine
+from repro.backends import available_backends
+from repro.backends.graycode import MAX_GRAYCODE_BITS, graycode_minimum
+from repro.problems.maxcut import maxcut_to_sparse_qubo, random_graph
 from repro.qubo import QuboMatrix, SparseQubo
 from repro.search.exact import solve_exact
 from repro.telemetry import MemorySink, TelemetryBus
@@ -98,21 +98,25 @@ class TestValidation:
             graycode_minimum(np.array([[0, 1], [2, 0]]))
 
 
-class TestBackendRegistration:
-    def test_registered_and_resolvable(self):
-        assert "graycode" in available_backends()
-        backend = resolve_backend("graycode")
-        assert isinstance(backend, GraycodeBackend)
-        assert backend.fallback_from is None
-
-    def test_engine_kernels_match_numpy(self):
-        q = QuboMatrix.random(32, seed=21)
-        ref = BulkSearchEngine(q, 3, windows=7, backend="numpy")
-        gc = BulkSearchEngine(q, 3, windows=7, backend="graycode")
-        for eng in (ref, gc):
-            eng.local_steps(40)
-        assert np.array_equal(ref.X, gc.X)
-        assert np.array_equal(ref.best_energy, gc.best_energy)
+class TestBackendsReachTheOracle:
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_seeded_sync_solve_reaches_exact_minimum(self, backend):
+        """A full seeded solve on every backend finds the proven optimum
+        of small dense and sparse instances, not just a local one."""
+        cfg = dict(blocks_per_gpu=8, local_steps=16, max_rounds=30)
+        problems = [QuboMatrix.random(16, seed=s) for s in range(3)] + [
+            maxcut_to_sparse_qubo(random_graph(16, 40, weighted=True, seed=s))
+            for s in range(3)
+        ]
+        for seed, q in enumerate(problems):
+            dense = _densify(q) if isinstance(q, SparseQubo) else q
+            optimum = graycode_minimum(dense).energy
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # cc fallback
+                res = AdaptiveBulkSearch(
+                    q, AbsConfig(**cfg, seed=seed, backend=backend)
+                ).solve("sync")
+            assert res.best_energy == optimum, (backend, seed)
 
 
 class TestExactFinisher:
